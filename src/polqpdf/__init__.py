@@ -5,7 +5,7 @@ The package is organized around four layers:
 * `poincare`: polarization bookkeeping, Poincare-sphere angles, Jones
   vectors, bases, and the complex polarization index p;
 * `fock`: truncated Fock-space operators, displacements, the s-ordered
-  kernel family, two-mode transiting operators, states;
+  kernel family, two-mode states;
 * `qpdf`: distribution values via the analytic coherent closed form
   and the brute-force trace route, sweeps, normalization integrals;
 * `coherence`: normally ordered correlation functions, the
@@ -31,22 +31,17 @@ from .errors import (
 from .fock import (
     OrderParameter,
     TruncatedOperator,
-    TwoModeOperator,
     TwoModeState,
     annihilation,
     coherent_vector,
     creation,
     displacement,
-    expectation,
     fock_vector,
     kernel,
     number_operator,
     reduced_modes,
     required_dim,
-    sordered_displacement,
     state_components,
-    transiting,
-    transiting_restricted,
     two_mode_coherent_density,
 )
 from .poincare import (

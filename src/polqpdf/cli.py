@@ -351,6 +351,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_oracle(args: argparse.Namespace) -> int:
+    if args.tuples < 1:
+        raise ValidationError(f"--tuples must be >= 1, got {args.tuples}")
     rng = np.random.default_rng(args.seed)
     s_cycle = [-1.0, -0.5, 0.0] if args.s is None else [args.s]
     errs = []

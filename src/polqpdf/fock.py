@@ -7,9 +7,9 @@ individual elements stay accurate at moderate amplitudes (the builder is
 safe up to dim of a few hundred; overflow in the Laguerre factor would
 start near dim ~ 400).
 
-Two-mode objects use the flattened index n_x * dim + n_y.  Always go
-through `TwoModeOperator`/`TwoModeState` and the helpers here instead of
-doing raw index arithmetic.
+Two-mode states use the flattened index n_x * dim + n_y.  Always go
+through `TwoModeState` and the helpers here instead of doing raw index
+arithmetic.
 
 Truncation sizing: a coherent amplitude of modulus M is well represented
 once dim >= (M + 3)^2 + 10 (`required_dim`); `coherent_vector` verifies
@@ -18,11 +18,13 @@ the discarded Poisson tail explicitly rather than trusting the rule.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.special import eval_genlaguerre, gammaln
 from scipy.stats import poisson
 
@@ -31,7 +33,6 @@ from .errors import SingularOrderError, TruncationError, ValidationError
 __all__ = [
     "OrderParameter",
     "TruncatedOperator",
-    "TwoModeOperator",
     "TwoModeState",
     "required_dim",
     "annihilation",
@@ -40,12 +41,8 @@ __all__ = [
     "fock_vector",
     "coherent_vector",
     "displacement",
-    "sordered_displacement",
     "kernel",
-    "transiting",
-    "transiting_restricted",
     "two_mode_coherent_density",
-    "expectation",
     "state_components",
     "reduced_modes",
 ]
@@ -115,33 +112,17 @@ class TruncatedOperator:
         return TruncatedOperator(self.dim, self.entries.conj().T)
 
 
-@dataclass(frozen=True)
-class TwoModeOperator:
-    """A dense operator on the two-mode space, index n_x * dim + n_y."""
-
-    dim: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        d2 = self.dim * self.dim
-        ent = np.array(self.entries, dtype=complex)
-        if ent.shape != (d2, d2):
-            raise ValidationError(f"entries must be {d2}x{d2}, got {ent.shape}")
-        if not np.all(np.isfinite(ent)):
-            raise ValidationError("operator entries must be finite")
-        object.__setattr__(self, "entries", _freeze(ent))
-
-
 class TwoModeState:
     """A two-mode density operator, possibly held in factored form.
 
     States built from kets keep the list of (weight, ket) components and
     materialize the dense density matrix only on demand; states built
     from a density matrix are validated for Hermiticity, unit trace and
-    positivity at construction.
+    positivity at construction, and `state_components` caches their
+    eigen decomposition.
     """
 
-    __slots__ = ("dim", "_components", "_density")
+    __slots__ = ("dim", "_components", "_density", "_eig")
 
     def __init__(self, dim: int, *, components=None, density=None):
         if dim < 1:
@@ -149,6 +130,7 @@ class TwoModeState:
         self.dim = int(dim)
         self._components = components
         self._density = density
+        self._eig = None
         if components is None and density is None:
             raise ValidationError("state needs either components or a density")
 
@@ -273,6 +255,8 @@ def coherent_vector(beta: complex, dim: int) -> np.ndarray:
     if dim < 1:
         raise ValidationError(f"dim must be >= 1, got {dim}")
     beta = complex(beta)
+    if not cmath.isfinite(beta):
+        raise ValidationError(f"amplitude must be finite, got {beta!r}")
     lam = abs(beta) ** 2
     tail = float(poisson.sf(dim - 1, lam))
     if not tail < _TAIL_TOL:
@@ -339,13 +323,6 @@ def displacement(xi: complex, dim: int) -> TruncatedOperator:
     return TruncatedOperator(dim, _displacement_block(np.array([xi]), dim, dim)[0])
 
 
-def sordered_displacement(xi: complex, s, dim: int) -> TruncatedOperator:
-    """s-ordered displacement D(xi, s) = D(xi) * exp(s|xi|^2 / 2)."""
-    sv = _order_value(s)
-    d = displacement(xi, dim)
-    return TruncatedOperator(dim, d.entries * math.exp(sv * abs(complex(xi)) ** 2 / 2.0))
-
-
 def _kernel_diagonal(s: float, dim: int) -> np.ndarray:
     """Diagonal of ((s+1)/(s-1))^n, with exact special cases."""
     n = np.arange(dim)
@@ -381,23 +358,6 @@ def kernel(alpha: complex, s, dim: int) -> TruncatedOperator:
 # two-mode composites
 # ---------------------------------------------------------------------------
 
-def transiting(alpha_x: complex, alpha_y: complex, s, dim: int) -> TwoModeOperator:
-    """Two-mode kernel t(alpha_x, s) (x) t(alpha_y, s)."""
-    if dim > _DENSE_DIM_LIMIT:
-        raise ValidationError(
-            f"dense two-mode operators are limited to dim <= {_DENSE_DIM_LIMIT}"
-        )
-    tx = kernel(alpha_x, s, dim).entries
-    ty = kernel(alpha_y, s, dim).entries
-    return TwoModeOperator(dim, np.kron(tx, ty))
-
-
-def transiting_restricted(alpha_x: complex, p: complex, s, dim: int) -> TwoModeOperator:
-    """Kernel restricted to the polarization section alpha_y = p * alpha_x."""
-    p = complex(p)
-    return transiting(alpha_x, p * complex(alpha_x), s, dim)
-
-
 def two_mode_coherent_density(beta: complex, gamma: complex, dim: int) -> TwoModeState:
     """Pure product coherent state |beta, gamma><beta, gamma|."""
     vx = coherent_vector(beta, dim)
@@ -405,31 +365,19 @@ def two_mode_coherent_density(beta: complex, gamma: complex, dim: int) -> TwoMod
     return TwoModeState.from_kets([(1.0, np.kron(vx, vy))], dim)
 
 
-def expectation(state: TwoModeState, op: TwoModeOperator) -> complex:
-    """Tr[rho Op] for a two-mode state and dense two-mode operator."""
-    if state.dim != op.dim:
-        raise ValidationError(
-            f"state dim {state.dim} does not match operator dim {op.dim}"
-        )
-    if state.components is not None:
-        acc = 0j
-        for w, v in state.components:
-            acc += w * np.vdot(v, op.entries @ v)
-        return complex(acc)
-    return complex(np.einsum("ij,ji->", state.density, op.entries))
-
-
 def state_components(state: TwoModeState) -> tuple[tuple[float, np.ndarray], ...]:
     """Mixture decomposition (weight, ket) of any state.
 
     Ket-backed states return their stored components; density-backed
-    states are diagonalized, dropping eigenvalues below 1e-13.
+    states are diagonalized once, keeping the eigenpairs above 1e-13, and
+    the decomposition is cached on the state.
     """
     if state.components is not None:
         return state.components
-    vals, vecs = np.linalg.eigh(np.asarray(state.density))
-    keep = np.where(vals > 1e-13)[0]
-    return tuple((float(vals[i]), vecs[:, i]) for i in keep)
+    if state._eig is None:
+        vals, vecs = eigh(state.density, subset_by_value=(1e-13, np.inf))
+        state._eig = tuple((float(w), _freeze(v)) for w, v in zip(vals, vecs.T.copy()))
+    return state._eig
 
 
 def reduced_modes(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,10 @@ Two evaluation routes are kept deliberately separate:
 * `qpdf_coherent_closed` is the analytic product-Gaussian value for a
   two-mode coherent state, exact for all -1 <= s < 1;
 * `qpdf_trace` is the brute-force trace of the state against the
-  two-mode kernel in the truncated Fock space.
+  two-mode kernel, built from exact kernel elements <u_i| t(alpha, s) |u_j>
+  between the state's trimmed Schmidt vectors: `dim` sizes only the
+  state, never the kernel.  At s > 0 the sum alternates, and a value
+  whose estimated cancellation error exceeds 1e-10 raises `TruncationError`.
 
 Tests and the CLI `oracle` command compare the two; nothing in this
 module ever substitutes one for the other.
@@ -18,23 +21,20 @@ serializes to CSV.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import block_diag
+from scipy.stats import poisson
 
 from . import fock
 from .errors import TruncationError, ValidationError
-from .fock import (
-    OrderParameter,
-    TwoModeState,
-    _displacement_block,
-    _kernel_diagonal,
-    _order_value,
-    required_dim,
-)
+from .fock import (TwoModeState, _displacement_block, _kernel_diagonal, _order_value,
+                   required_dim)
 from .poincare import PolarizationIndex
 
 __all__ = [
@@ -58,9 +58,17 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-9
-# mode vectors are trimmed at this amplitude inside the quadrature engine;
-# the induced error on any reported integral is O(1e-8)
+# Schmidt vectors are trimmed at these amplitudes, at s > 0 at _FINE_TRIM.
+# Traces are held to 1e-9, which trimming at 1e-9 only just met; the
+# normalization integral is held to 1e-4, and is 1.35-1.5x slower at 1e-12
+_TRACE_TRIM = 1e-12
 _TRIM_TOL = 1e-9
+_FINE_TRIM = 1e-15
+# at s > 0, values whose estimated cancellation error exceeds this are refused
+_CANCEL_TOL = 1e-10
+# points per displacement block, and the cap on elements per block
+_CHUNK = 512
+_BLOCK_CAP = 1_000_000
 
 MEASURE_NOTE = "d2alpha=dRe*dIm; values carry no 1/pi factors"
 
@@ -183,6 +191,8 @@ def qpdf_coherent_closed(beta: complex, gamma: complex, alpha_x, alpha_y, s):
     over alpha_x/alpha_y.
     """
     sv = _order_value(s)
+    if not (cmath.isfinite(complex(beta)) and cmath.isfinite(complex(gamma))):
+        raise ValidationError(f"amplitudes must be finite, got {beta!r}, {gamma!r}")
     kappa = 2.0 / (1.0 - sv)
     ax = np.asarray(alpha_x, dtype=complex)
     ay = np.asarray(alpha_y, dtype=complex)
@@ -218,64 +228,139 @@ def _check_point_dim(dim: int, alpha: complex, label: str) -> None:
         )
 
 
-def _trace_many_kets(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
-    """Tr[rho T(ax, ay, s)] for ket-backed states, batched over points.
+def _stacked_schmidt(state: TwoModeState, trim: float, sv: float):
+    """Trimmed Schmidt vectors of every component of the state, per mode.
 
-    Uses Tr[|v><v| (t_x (x) t_y)] = sum_kl r_k r_l |(D(-ax) V D(-ay)^T)_kl|^2
-    with V the ket reshaped to dim x dim; identical to the dense kron
-    route, point by point, at the state's own truncation.
+    Returns (ux, uy, m).  The columns of ux and uy are the Schmidt
+    vectors of all components side by side on a common trimmed support;
+    m holds w * sig_i * sig_j on each component's diagonal block, so
+    Tr[rho (A x B)] = sum_ij m_ij <ux_i|A|ux_j> <uy_i|B|uy_j>.  At s > 0
+    the kernel is unbounded and amplifies what trimming drops, so the
+    vectors are trimmed at a few ulp there.
     """
-    d = state.dim
-    axs = np.asarray(axs, dtype=complex).reshape(-1)
-    ays = np.asarray(ays, dtype=complex).reshape(-1)
+    trim = trim if sv <= 0.0 else _FINE_TRIM
+    comps = fock.state_components(state)
+    mats = [np.abs(v.reshape(state.dim, state.dim)) > trim for _, v in comps]
+    rx = 1 + max(int(np.flatnonzero(k.any(axis=1)).max(initial=0)) for k in mats)
+    ry = 1 + max(int(np.flatnonzero(k.any(axis=0)).max(initial=0)) for k in mats)
+    ux, uy, blocks = [], [], []
+    for w, v in comps:
+        V = v.reshape(state.dim, state.dim)[:rx, :ry]
+        u, sig, wh = np.linalg.svd(V, full_matrices=False)
+        keep = sig > trim
+        ux.append(u[:, keep])
+        uy.append(wh[keep].T)
+        blocks.append(w * np.outer(sig[keep], sig[keep]))
+    return np.hstack(ux), np.hstack(uy), block_diag(*blocks)
+
+
+def _engine_rows(sv: float, dim_work: int) -> int:
+    """Kernel diagonal length that keeps the discarded weight < 1e-18."""
+    if sv == -1.0:
+        return 1
+    ratio = abs((sv + 1.0) / (sv - 1.0))
+    if ratio < 1.0:
+        cut = int(math.ceil(18.0 * math.log(10.0) / -math.log(ratio))) + 5
+        return min(dim_work, cut)
+    return dim_work
+
+
+def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
+    """Exact <u_i| t(alpha, s) |u_j> per point for each (vecs, points) mode.
+
+    Returns one (points, J, J) array per mode, or with quadrature weights
+    (1/pi) sum_g w_g o_g.  At s = 0, t = 2 D(2 alpha) Pi (Royer, PRA 15,
+    449, 1977) needs only support x support blocks.  Otherwise t = kappa
+    D(alpha) r^n D(alpha)^+ needs the rows of D(-alpha) u that carry
+    weight, which grow with the radius: each radius-sorted chunk sizes
+    one block, shared by all vectors, by its outermost point.
+
+    At s > 0 the sum alternates with |r| > 1; at displaced intensity lam
+    its terms add up to amp = exp((|r|-1) lam) for Poisson photon numbers.
+    With err = amp * (trim + row tail), points whose estimated error
+    kappa^2 (err_x amp_y + amp_x err_y) exceeds 1e-10 raise TruncationError
+    before any block is built.
+    """
     kappa = 2.0 / (1.0 - sv)
-    r = _kernel_diagonal(sv, d)
-    out = np.zeros(axs.size, dtype=float)
-    same_y = bool(np.all(ays == ays[0]))
-    chunk = max(1, int(1e6 // (d * d)))
-    for lo in range(0, axs.size, chunk):
-        hi = min(lo + chunk, axs.size)
-        bx = _displacement_block(-axs[lo:hi], d, d)
-        if same_y:
-            by = _displacement_block(-ays[:1], d, d)
-        else:
-            by = _displacement_block(-ays[lo:hi], d, d)
-        for w, v in state.components:
-            V = v.reshape(d, d)
-            t = bx @ V  # (g, d, d)
-            if same_y:
-                m = t @ by[0].T
-            else:
-                m = np.einsum("gml,gnl->gmn", t, by)
-            out[lo:hi] += (w * kappa * kappa) * np.einsum(
-                "k,l,gkl->g", r, r, np.abs(m) ** 2
+    modes = [(u, np.asarray(pts, dtype=complex).reshape(-1)) for u, pts in modes]
+    # working dim per point: D(-alpha) u reaches (|alpha| + sqrt(support))^2
+    work = [np.ceil((abs(p) + math.sqrt(u.shape[0]) + 2.0) ** 2) + 30 for u, p in modes]
+    if sv > 0.0:
+        ratio = (1.0 + sv) / (1.0 - sv)
+        amp, err = [], []
+        for (vecs, points), rows in zip(modes, work):
+            # <u| D(a) n D(a)^+ |u> = nbar - 2 Re(conj(a) <u|a|u>) + |a|^2
+            n = np.arange(vecs.shape[0])
+            mean_a = np.einsum("mj,m,mj->j", vecs[:-1].conj(), np.sqrt(n[1:]), vecs[1:])
+            lam = (n @ np.abs(vecs) ** 2 - 2.0 * (points.conj()[:, None] * mean_a).real
+                   + np.abs(points[:, None]) ** 2).max(axis=1).clip(0.0)
+            a = np.exp(np.minimum((ratio - 1.0) * lam, 600.0))
+            e = a * (_FINE_TRIM + poisson.sf(rows - 1, ratio * lam))
+            amp.append(a if weights is None else weights @ a / math.pi)
+            err.append(e if weights is None else weights @ e / math.pi)
+        bound = float(np.max(kappa**2 * (err[0] * amp[1] + amp[0] * err[1])))
+        r_overflows = max(w.max() for w in work) * math.log(ratio) >= 700.0
+        if r_overflows or not bound <= _CANCEL_TOL:
+            raise TruncationError(
+                f"s={sv:g}: the alternating Fock sum cannot be held to {_CANCEL_TOL:g} "
+                f"at these points (estimated cancellation error {bound:.2e})"
             )
+    out = []
+    for (vecs, points), dim_work in zip(modes, work):
+        support, nvec = vecs.shape
+        signs = np.power(-1.0, np.arange(support))
+        order = np.argsort(np.abs(points))
+        o = np.zeros((nvec, nvec) if weights is not None else (points.size, nvec, nvec),
+                     dtype=complex)
+        lo = 0
+        while lo < points.size:
+            idx = order[lo : lo + _CHUNK]
+            rows = support if sv == 0.0 else _engine_rows(sv, int(dim_work[idx[-1]]))
+            idx = idx[: max(1, _BLOCK_CAP // (rows * support))]
+            lo += idx.size
+            xi = 2.0 * points[idx] if sv == 0.0 else -points[idx]
+            block = _displacement_block(xi, rows, support).reshape(-1, support)
+            if sv == 0.0:
+                phi = (block @ (signs[:, None] * vecs)).reshape(idx.size, rows, nvec)
+                left = vecs.conj().T
+            else:
+                phi = (block @ vecs).reshape(idx.size, rows, nvec)
+                left = phi.conj().transpose(0, 2, 1) * _kernel_diagonal(sv, rows)
+            if weights is None:
+                o[idx] = kappa * (left @ phi)
+            else:
+                o += np.tensordot(weights[idx], kappa * (left @ phi), 1) / math.pi
+        out.append(o)
     return out
 
 
-def qpdf_trace(state: TwoModeState, alpha_x: complex, alpha_y: complex, s) -> float:
-    """Tr[rho T(alpha_x, alpha_y, s)] in the state's truncated space.
+def _trace_points(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
+    """Tr[rho T(ax, ay, s)] per point; a single ay is shared by all points."""
+    ux, uy, m = _stacked_schmidt(state, _TRACE_TRIM, sv)
+    ox, oy = _kernel_elements(((ux, axs), (uy, ays)), sv)
+    vals = (ox * oy).reshape(-1, m.size) @ m.reshape(-1)
+    worst = float(np.max(np.abs(vals.imag)))
+    if worst > _IMAG_TOL:
+        raise ValidationError(
+            f"trace has imaginary residue {worst:.3e}; state or s is unphysical"
+        )
+    return vals.real
 
-    The imaginary residue of the trace must stay below 1e-9; the real
-    part is returned.  dim must satisfy the truncation rule for both
-    phase-space moduli.
+
+def qpdf_trace(state: TwoModeState, alpha_x: complex, alpha_y: complex, s) -> float:
+    """Tr[rho T(alpha_x, alpha_y, s)] for a state in a truncated Fock space.
+
+    Built from exact kernel elements between the state's Schmidt vectors
+    (trimmed at 1e-12), so `dim` sizes only the state; it must still meet
+    the truncation rule for both moduli.  The imaginary residue must stay
+    below 1e-9; the real part is returned.  At s > 0 a value whose
+    estimated cancellation error exceeds 1e-10 raises `TruncationError`.
     """
     sv = _order_value(s)
     ax, ay = complex(alpha_x), complex(alpha_y)
     _check_point_dim(state.dim, ax, "alpha_x")
     _check_point_dim(state.dim, ay, "alpha_y")
-    if state.components is not None:
-        return float(_trace_many_kets(state, [ax], [ay], sv)[0])
-    d = state.dim
-    tx = fock.kernel(ax, sv, d).entries
-    ty = fock.kernel(ay, sv, d).entries
-    rho4 = state.density.reshape(d, d, d, d)
-    val = complex(np.einsum("abcd,ca,db->", rho4, tx, ty, optimize=True))
-    if abs(val.imag) > _IMAG_TOL:
-        raise ValidationError(
-            f"trace has imaginary residue {val.imag:.3e}; state or s is unphysical"
-        )
-    return val.real
+    return float(_trace_points(state, [ax], [ay], sv)[0])
 
 
 def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
@@ -297,33 +382,24 @@ def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep_dim(modulus_x: float, modulus_y: float, beta: complex, gamma: complex) -> int:
-    # displaced moduli: the kernel shifts the state by the sweep point,
-    # so size the space for |alpha| + |amplitude| per mode
-    return max(
-        required_dim(modulus_x + abs(beta)),
-        required_dim(modulus_y + abs(gamma)),
-    )
-
-
-def _sweep_values(
-    axs: np.ndarray,
-    ays: np.ndarray,
-    beta: complex,
-    gamma: complex,
-    sv: float,
-    method: Method,
-    dim: int | None,
-) -> tuple[np.ndarray, int | None]:
+def _sweep(kind: AxisKind, axis, axs, beta, q, p, sv, method, dim) -> QpdfGrid:
+    """Values along alpha_y = p * alpha_x for the pair |beta, q*beta>."""
+    pv, qv, bv = complex(p), complex(q), complex(beta)
+    gamma = qv * bv
+    ays = pv * axs
+    dim_used = None
     if method is Method.CLOSED_FORM:
-        return qpdf_coherent_closed(beta, gamma, axs, ays, sv), None
-    use_dim = dim or _sweep_dim(
-        float(np.max(np.abs(axs))), float(np.max(np.abs(ays))), beta, gamma
-    )
-    state = fock.two_mode_coherent_density(beta, gamma, use_dim)
-    for a in (axs[np.argmax(np.abs(axs))], ays[np.argmax(np.abs(ays))]):
-        _check_point_dim(use_dim, complex(a), "sweep point")
-    return _trace_many_kets(state, axs, ays, sv), use_dim
+        vals = qpdf_coherent_closed(bv, gamma, axs, ays, sv)
+    else:
+        # the kernel shifts the state by the sweep point, so size the
+        # space for the displaced moduli |alpha| + |amplitude| per mode
+        mx, my = float(np.max(np.abs(axs))), float(np.max(np.abs(ays)))
+        dim_used = dim or max(required_dim(mx + abs(bv)), required_dim(my + abs(gamma)))
+        state = fock.two_mode_coherent_density(bv, gamma, dim_used)
+        _check_point_dim(dim_used, complex(mx), "sweep point")
+        _check_point_dim(dim_used, complex(my), "sweep point")
+        vals = _trace_points(state, axs, ays, sv)
+    return QpdfGrid(kind, axis, vals, GridMeta(sv, pv, qv, bv, dim_used, method))
 
 
 def sweep_phase(
@@ -342,14 +418,9 @@ def sweep_phase(
         raise ValidationError(f"modulus must be finite and >= 0, got {modulus}")
     if n_points < 2:
         raise ValidationError("n_points must be >= 2")
-    pv, qv = complex(p), complex(q)
-    gamma = qv * complex(beta)
     axis = np.arange(n_points) * (2.0 * math.pi / n_points)
-    axs = modulus * np.exp(1j * axis)
-    ays = pv * axs
-    vals, dim_used = _sweep_values(axs, ays, complex(beta), gamma, sv, method, dim)
-    meta = GridMeta(sv, pv, qv, complex(beta), dim_used, method)
-    return QpdfGrid(AxisKind.PHASE, axis, vals, meta)
+    return _sweep(AxisKind.PHASE, axis, modulus * np.exp(1j * axis), beta, q, p, sv,
+                  method, dim)
 
 
 def sweep_modulus(
@@ -369,14 +440,9 @@ def sweep_modulus(
         raise ValidationError(f"max_modulus must be finite and > 0, got {max_modulus}")
     if n_points < 2:
         raise ValidationError("n_points must be >= 2")
-    pv, qv = complex(p), complex(q)
-    gamma = qv * complex(beta)
     axis = np.linspace(0.0, float(max_modulus), n_points)
     axs = axis * complex(math.cos(phase), math.sin(phase))
-    ays = pv * axs
-    vals, dim_used = _sweep_values(axs, ays, complex(beta), gamma, sv, method, dim)
-    meta = GridMeta(sv, pv, qv, complex(beta), dim_used, method)
-    return QpdfGrid(AxisKind.MODULUS, axis, vals, meta)
+    return _sweep(AxisKind.MODULUS, axis, axs, beta, q, p, sv, method, dim)
 
 
 def plane_grid_qpdf(
@@ -398,12 +464,7 @@ def plane_grid_qpdf(
     pts = (re + 1j * im).reshape(-1)
     _check_point_dim(state.dim, complex(abs(pts).max()), "alpha_x")
     _check_point_dim(state.dim, complex(alpha_y), "alpha_y")
-    if state.components is not None:
-        vals = _trace_many_kets(state, pts, np.full(pts.size, complex(alpha_y)), sv)
-    else:
-        vals = np.array(
-            [qpdf_trace(state, z, complex(alpha_y), sv) for z in pts], dtype=float
-        )
+    vals = _trace_points(state, pts, [complex(alpha_y)], sv)
     meta = GridMeta(sv, 0j, 0j, complex(alpha_y), state.dim, Method.TRACE_ORACLE)
     return QpdfGrid(AxisKind.PLANE, axis, vals, meta)
 
@@ -430,68 +491,6 @@ def _plane_nodes(quad: PlaneQuadrature) -> tuple[np.ndarray, np.ndarray]:
     return (re + 1j * im).reshape(-1), ww.reshape(-1)
 
 
-def _engine_rows(sv: float, dim_work: int) -> int:
-    """Kernel diagonal length that keeps the discarded weight < 1e-18."""
-    if sv == -1.0:
-        return 1
-    ratio = abs((sv + 1.0) / (sv - 1.0))
-    if ratio < 1.0:
-        cut = int(math.ceil(18.0 * math.log(10.0) / -math.log(ratio))) + 5
-        return min(dim_work, cut)
-    return dim_work
-
-
-def _overlap_integral_matrix(
-    vecs: np.ndarray, sv: float, nodes: np.ndarray, weights: np.ndarray
-) -> np.ndarray:
-    """(1/pi) * integral of <u_i| t(alpha, s) |u_j> over the plane nodes.
-
-    vecs is (support_dim, J).  At s = 0 the kernel is 2 D(2 alpha) Pi
-    (parity), so matrix elements between the truncated vectors are exact
-    with support x support displacement blocks.  For other s the kernel
-    diagonal forces a working dimension that grows with the node radius;
-    chunks are processed in order of increasing radius so only the outer
-    ring pays for it.
-    """
-    support, nvec = vecs.shape
-    kappa = 2.0 / (1.0 - sv)
-    chunk = 512
-
-    if sv == 0.0:
-        acc = np.zeros((support, support), dtype=complex)
-        for lo in range(0, nodes.size, chunk):
-            sl = slice(lo, lo + chunk)
-            acc += np.tensordot(
-                weights[sl], _displacement_block(2.0 * nodes[sl], support, support), 1
-            )
-        signs = np.power(-1.0, np.arange(support))
-        return (kappa / math.pi) * (vecs.conj().T @ acc @ (signs[:, None] * vecs))
-
-    order = np.argsort(np.abs(nodes))
-    out = np.zeros((nvec, nvec), dtype=complex)
-    for lo in range(0, nodes.size, chunk):
-        idx = order[lo : lo + chunk]
-        rmax = float(np.abs(nodes[idx]).max())
-        dim_work = int(math.ceil((rmax + math.sqrt(support) + 2.0) ** 2)) + 30
-        rows = _engine_rows(sv, dim_work)
-        r = _kernel_diagonal(sv, rows)
-        block = _displacement_block(-nodes[idx], rows, support)
-        phi = (block @ vecs).reshape(-1, nvec)  # (g*rows, J)
-        scale = (weights[idx][:, None] * r[None, :]).reshape(-1)
-        out += (kappa / math.pi) * (phi.conj().T @ (scale[:, None] * phi))
-    return out
-
-
-def _schmidt(v: np.ndarray, dim: int):
-    """Trimmed Schmidt decomposition of a two-mode ket."""
-    V = v.reshape(dim, dim)
-    rx = int(np.max(np.nonzero(np.abs(V).max(axis=1) > _TRIM_TOL)[0], initial=0)) + 1
-    ry = int(np.max(np.nonzero(np.abs(V).max(axis=0) > _TRIM_TOL)[0], initial=0)) + 1
-    u, sig, wh = np.linalg.svd(V[:rx, :ry], full_matrices=False)
-    keep = sig > _TRIM_TOL
-    return sig[keep], u[:, keep], wh[keep, :].T
-
-
 def normalization_check(
     state: TwoModeState, s, quadrature: PlaneQuadrature = PlaneQuadrature()
 ) -> NormalizationResult:
@@ -502,32 +501,21 @@ def normalization_check(
     total is exactly the product of the mode integrals (the tensor
     quadrature factorizes); entangled states are handled through the
     Schmidt decomposition of each component.  A box smaller than
-    (max amplitude + 5) is flagged, not fatal.  Accuracy is only
-    established for s <= 0.
+    (max amplitude + 5) is flagged, not fatal.  At s > 0 the integral is
+    refused like `qpdf_trace` values, with `TruncationError`.
     """
     sv = _order_value(s)
     nodes, weights = _plane_nodes(quadrature)
-    comps = fock.state_components(state)
-
-    total = 0.0
-    mode_x = 0.0
-    mode_y = 0.0
-    nbar_x = 0.0
-    nbar_y = 0.0
-    for w, v in comps:
-        sig, ux, uy = _schmidt(v, state.dim)
-        ox = _overlap_integral_matrix(ux, sv, nodes, weights)
-        oy = _overlap_integral_matrix(uy, sv, nodes, weights)
-        quad_form = sig @ (ox * oy) @ sig
-        total += w * float(quad_form.real)
-        mode_x += w * float((sig**2 @ np.diag(ox).real))
-        mode_y += w * float((sig**2 @ np.diag(oy).real))
-        n_row = np.arange(ux.shape[0])
-        nbar_x += w * float(sig**2 @ (n_row @ (np.abs(ux) ** 2)))
-        n_row = np.arange(uy.shape[0])
-        nbar_y += w * float(sig**2 @ (n_row @ (np.abs(uy) ** 2)))
-
-    recommended = math.sqrt(max(nbar_x, nbar_y)) + 5.0
+    ux, uy, m = _stacked_schmidt(state, _TRIM_TOL, sv)
+    ox, oy = _kernel_elements(((ux, nodes), (uy, nodes)), sv, weights)
+    # the Schmidt vectors of one component are orthonormal, so the mode
+    # integrals see only the diagonal sig^2 weights
+    pops = np.diag(m)
+    total = float(np.sum(m * ox * oy).real)
+    mode_x = float(pops @ np.diag(ox).real)
+    mode_y = float(pops @ np.diag(oy).real)
+    nbar = max(float(pops @ (np.arange(u.shape[0]) @ np.abs(u) ** 2)) for u in (ux, uy))
+    recommended = math.sqrt(nbar) + 5.0
     warnings: tuple[str, ...] = ()
     if quadrature.half_width < recommended:
         warnings = (

@@ -161,13 +161,22 @@ def test_oracle_defaults_pass(capsys):
 
 
 def test_oracle_truncation_exit(capsys):
-    assert main(["oracle", "--dim", "10"]) == 3
-    assert "truncation error" in capsys.readouterr().err
+    # normcheck at s > 0 is refused: the alternating Fock sum cancels
+    for argv in (["oracle", "--dim", "10"], ["normcheck", "--s", "0.3"]):
+        assert main(argv) == 3
+        assert "truncation error" in capsys.readouterr().err
 
 
 def test_oracle_singular_order_exit(capsys):
-    assert main(["oracle", "--s", "1"]) == 4
-    assert "validation error" in capsys.readouterr().err
+    for argv in (
+        ["oracle", "--s", "1"],
+        ["oracle", "--tuples", "0"],
+        ["oracle", "--tuples", "-3"],
+        ["report", "--beta=nan,0.5"],
+        ["report", "--beta=inf,0.5"],
+    ):
+        assert main(argv) == 4
+        assert "validation error" in capsys.readouterr().err
 
 
 def test_normcheck_small_grid(capsys):

@@ -17,18 +17,16 @@ from polqpdf.fock import (
     coherent_vector,
     creation,
     displacement,
-    expectation,
     fock_vector,
     kernel,
     number_operator,
     reduced_modes,
     required_dim,
-    sordered_displacement,
     state_components,
-    transiting,
-    transiting_restricted,
     two_mode_coherent_density,
 )
+
+from dense_reference import expectation, transiting, transiting_restricted
 
 
 def test_ladder_entries():
@@ -66,6 +64,9 @@ def test_coherent_vector_statistics():
 def test_coherent_vector_tail_guard():
     with pytest.raises(TruncationError, match="need dim >="):
         coherent_vector(2.5, 10)
+    for bad in (complex(math.nan, 0.5), complex(math.inf, 0.5)):
+        with pytest.raises(ValidationError, match="finite"):
+            coherent_vector(bad, 10)
 
 
 def test_required_dim_rule():
@@ -109,18 +110,6 @@ def test_displacement_unitarity_half_block():
         assert np.max(np.abs(left)) <= 1e-8
         both = (d @ displacement(-xi, dim).entries - np.eye(dim))[:half, :half]
         assert np.max(np.abs(both)) <= 1e-8
-
-
-def test_sordered_displacement():
-    xi = 0.7 + 0.2j
-    assert np.array_equal(
-        sordered_displacement(xi, 0.0, 30).entries, displacement(xi, 30).entries
-    )
-    scaled = sordered_displacement(1.0, -1.0, 30).entries
-    assert np.max(np.abs(scaled - displacement(1.0, 30).entries
-                         * math.exp(-0.5))) <= 1e-14
-    for s in (-1.0, -0.3, 0.9):
-        assert np.array_equal(sordered_displacement(0j, s, 8).entries, np.eye(8))
 
 
 def test_kernel_is_coherent_projector_at_lowest_order():
@@ -252,6 +241,20 @@ def test_two_mode_state_routes_agree():
 
     comps = state_components(dens_state)
     assert sum(w for w, _ in comps) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_state_components_caches_density_decomposition():
+    dim = 12
+    ka = np.kron(fock_vector(0, dim), fock_vector(1, dim))
+    kb = np.kron(fock_vector(1, dim), fock_vector(0, dim))
+    rho = 0.6 * np.outer(ka, ka.conj()) + 0.4 * np.outer(kb, kb.conj())
+    state = TwoModeState.from_density(rho, dim)
+    first = state_components(state)
+    assert state_components(state) is first
+    assert len(first) == 2
+    assert sorted(w for w, _ in first) == pytest.approx([0.4, 0.6], abs=1e-12)
+    with pytest.raises(ValueError):
+        first[0][1][0] = 99.0
 
 
 def test_reduced_modes_of_product_state():

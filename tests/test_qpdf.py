@@ -2,10 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dense_reference import expectation, transiting
 from polqpdf import fock
 from polqpdf.errors import PoleError, TruncationError, ValidationError
-from polqpdf.fock import TwoModeState, coherent_vector, fock_vector, two_mode_coherent_density
+from polqpdf.fock import (
+    TwoModeState,
+    coherent_vector,
+    fock_vector,
+    required_dim,
+    two_mode_coherent_density,
+)
 from polqpdf.qpdf import (
     AxisKind,
     GridMeta,
@@ -109,6 +118,88 @@ def test_trace_density_route_matches_ket_route():
         assert abs(a - b) <= 1e-12
 
 
+def test_trace_refuses_cancellation_at_positive_s():
+    # the Fock sum alternates at s > 0; at (2, -i) the closed form is
+    # 2.4e-26 at s = 0.9, where an unchecked sum returned 2.7e34
+    state = two_mode_coherent_density(1.0, 0.5j, 60)
+    for s in (0.9, 0.99):
+        with pytest.raises(TruncationError, match="cancellation"):
+            qpdf_trace(state, 2.0, -1j, s)
+    for s in (0.3, 0.5):
+        want = qpdf_coherent_closed(1.0, 0.5j, 2.0, -1j, s)
+        assert abs(qpdf_trace(state, 2.0, -1j, s) - want) <= 1e-9
+    with pytest.raises(TruncationError, match="cancellation"):
+        normalization_check(state, 0.3, PlaneQuadrature(40, 6.0))
+
+
+@st.composite
+def _small_states(draw):
+    """A random entangled ket or a 2-3 component mixture, support below k.
+
+    Returns (pairs, k): unit kets as k x k coefficient matrices of the
+    levels n_x, n_y < k, and weights summing to 1.
+    """
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3))
+    parts = st.floats(-1.0, 1.0, allow_nan=False)
+    pairs = []
+    for _ in range(n):
+        c = np.array(draw(st.lists(parts, min_size=2 * k * k, max_size=2 * k * k)))
+        c = (c[::2] + 1j * c[1::2]).reshape(k, k)
+        if np.linalg.norm(c) < 0.1:
+            c[0, 0] += 1.0
+        pairs.append(c / np.linalg.norm(c))
+    w = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n)))
+    return list(zip(w / w.sum(), pairs)), k
+
+
+def _embedded(pairs, dim):
+    kets = []
+    for w, c in pairs:
+        big = np.zeros((dim, dim), dtype=complex)
+        big[: c.shape[0], : c.shape[1]] = c
+        kets.append((w, big.reshape(-1)))
+    return TwoModeState.from_kets(kets, dim)
+
+
+# the state dim must meet required_dim at every point, and the density
+# form's eigen decomposition grows with dim^6, so the points stay small
+_POINT = st.one_of(
+    st.just(0j),
+    st.builds(complex, st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+)
+_ORDER = st.one_of(st.sampled_from([-1.0, -0.5, 0.0]), st.floats(-1.0, 0.0))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_small_states(), _POINT, _POINT, _ORDER)
+def test_engine_matches_dense_reference(states, ax, ay, s):
+    """Ket and density forms agree with the kron kernel at a padded dim.
+
+    The engine's kernel elements are exact; the d x d kron kernel is
+    truncated, so the reference embeds the state at a larger dim, where
+    the kernel rows the state reaches are converged.
+    """
+    pairs, k = states
+    dim = required_dim(0.3)
+    kets = _embedded(pairs, dim)
+    dens = TwoModeState.from_density(kets.density, dim)
+    ref = _embedded(pairs, dim + 4)
+
+    def reference(x, y):
+        return expectation(ref, transiting(x, y, s, dim + 4)).real
+
+    want = reference(ax, ay)
+    for state in (kets, dens):
+        assert abs(qpdf_trace(state, ax, ay, s) - want) <= 1e-10
+    grid = plane_grid_qpdf(kets, s, 0.2, 3, alpha_y=ay)
+    axis = grid.axis_values
+    want = np.array([reference(complex(a, b), ay) for a in axis for b in axis])
+    for state in (kets, dens):
+        got = plane_grid_qpdf(state, s, 0.2, 3, alpha_y=ay).values
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+
 def test_trace_requires_adequate_dim():
     state = two_mode_coherent_density(0j, 0j, 20)
     with pytest.raises(TruncationError, match="alpha_x"):
@@ -181,6 +272,11 @@ def test_sweep_validation():
         sweep_phase(0j, 0j, 0j, 1.0, 0.0, n_points=1)
     with pytest.raises(ValidationError):
         sweep_modulus(0j, 0j, 0j, 0.0, 0.0, max_modulus=0.0)
+    for bad in (complex(math.nan, 0.5), complex(math.inf, 0.5)):
+        with pytest.raises(ValidationError, match="finite"):
+            qpdf_coherent_closed(bad, 0j, 0j, 0j, 0.0)
+        with pytest.raises(ValidationError, match="finite"):
+            qpdf_coherent_closed(0j, bad, 0j, 0j, 0.0)
 
 
 def test_grid_validation():
