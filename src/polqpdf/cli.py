@@ -491,3 +491,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def app() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    app()

@@ -113,26 +113,22 @@ class TruncatedOperator:
 
 
 class TwoModeState:
-    """A two-mode density operator, possibly held in factored form.
+    """A two-mode density operator, held as a mixture of (weight, ket) pairs.
 
-    States built from kets keep the list of (weight, ket) components and
-    materialize the dense density matrix only on demand; states built
-    from a density matrix are validated for Hermiticity, unit trace and
-    positivity at construction, and `state_components` caches their
-    eigen decomposition.
+    States built from kets keep those pairs and materialize the dense
+    density only on demand.  `from_density` validates a density matrix and
+    decomposes it once: its eigenpairs above 1e-13 become the mixture.
     """
 
-    __slots__ = ("dim", "_components", "_density", "_eig")
+    __slots__ = ("dim", "_mixture", "_density", "_from_kets")
 
-    def __init__(self, dim: int, *, components=None, density=None):
+    def __init__(self, dim: int, *, components, density=None):
         if dim < 1:
             raise ValidationError(f"dim must be >= 1, got {dim}")
         self.dim = int(dim)
-        self._components = components
+        self._mixture = components
         self._density = density
-        self._eig = None
-        if components is None and density is None:
-            raise ValidationError("state needs either components or a density")
+        self._from_kets = density is None
 
     # -- constructors -------------------------------------------------------
 
@@ -144,17 +140,17 @@ class TwoModeState:
         total = 0.0
         for w, ket in pairs:
             w = float(w)
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValidationError(f"weights must be >= 0, got {w}")
             v = np.array(ket, dtype=complex).reshape(-1)
             if v.shape != (d2,):
                 raise ValidationError(f"ket length must be dim^2 = {d2}")
             nrm = np.linalg.norm(v)
-            if abs(nrm - 1.0) > 1e-10:
+            if not abs(nrm - 1.0) <= 1e-10:
                 raise ValidationError(f"component kets must be unit norm, got {nrm}")
             comps.append((w, _freeze(v)))
             total += w
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise ValidationError(f"weights must sum to 1, got {total}")
         return cls(dim, components=tuple(comps))
 
@@ -164,23 +160,27 @@ class TwoModeState:
         rho = np.array(density, dtype=complex)
         if rho.shape != (d2, d2):
             raise ValidationError(f"density must be {d2}x{d2}, got {rho.shape}")
+        if not np.all(np.isfinite(rho)):
+            raise ValidationError("density entries must be finite")
         herm = np.max(np.abs(rho - rho.conj().T))
         if herm > 1e-12:
             raise ValidationError(f"density not Hermitian, residual {herm:.3e}")
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-9:
             raise ValidationError(f"density trace must be 1, got {tr!r}")
-        low = np.linalg.eigvalsh(rho).min()
-        if low < -1e-10:
-            raise ValidationError(f"density has negative eigenvalue {low:.3e}")
-        return cls(dim, density=_freeze(rho))
+        vals, vecs = eigh(rho)
+        if vals[0] < -1e-10:
+            raise ValidationError(f"density has negative eigenvalue {vals[0]:.3e}")
+        keep = vals > 1e-13
+        eig = tuple(zip(vals[keep].tolist(), _freeze(vecs[:, keep].T.copy())))
+        return cls(dim, components=eig, density=_freeze(rho))
 
     # -- views ---------------------------------------------------------------
 
     @property
     def components(self):
         """(weight, ket) pairs when the state was built from kets, else None."""
-        return self._components
+        return self._mixture if self._from_kets else None
 
     @property
     def density(self) -> np.ndarray:
@@ -192,7 +192,7 @@ class TwoModeState:
                 )
             d2 = self.dim * self.dim
             rho = np.zeros((d2, d2), dtype=complex)
-            for w, v in self._components:
+            for w, v in self._mixture:
                 rho += w * np.outer(v, v.conj())
             self._density = _freeze(rho)
         return self._density
@@ -368,28 +368,19 @@ def two_mode_coherent_density(beta: complex, gamma: complex, dim: int) -> TwoMod
 def state_components(state: TwoModeState) -> tuple[tuple[float, np.ndarray], ...]:
     """Mixture decomposition (weight, ket) of any state.
 
-    Ket-backed states return their stored components; density-backed
-    states are diagonalized once, keeping the eigenpairs above 1e-13, and
-    the decomposition is cached on the state.
+    The stored kets, or the eigenpairs above 1e-13 that `from_density`
+    froze onto a density-backed state; every call returns the same tuple.
     """
-    if state.components is not None:
-        return state.components
-    if state._eig is None:
-        vals, vecs = eigh(state.density, subset_by_value=(1e-13, np.inf))
-        state._eig = tuple((float(w), _freeze(v)) for w, v in zip(vals, vecs.T.copy()))
-    return state._eig
+    return state._mixture
 
 
 def reduced_modes(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
     """Partial traces (rho_x, rho_y) as dense dim x dim matrices."""
     d = state.dim
-    if state.components is not None:
-        rho_x = np.zeros((d, d), dtype=complex)
-        rho_y = np.zeros((d, d), dtype=complex)
-        for w, v in state.components:
-            m = v.reshape(d, d)
-            rho_x += w * (m @ m.conj().T)
-            rho_y += w * (m.T @ m.conj())
-        return rho_x, rho_y
-    r4 = state.density.reshape(d, d, d, d)
-    return np.einsum("abcb->ac", r4), np.einsum("abad->bd", r4)
+    rho_x = np.zeros((d, d), dtype=complex)
+    rho_y = np.zeros((d, d), dtype=complex)
+    for w, v in state_components(state):
+        m = v.reshape(d, d)
+        rho_x += w * (m @ m.conj().T)
+        rho_y += w * (m.T @ m.conj())
+    return rho_x, rho_y

@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
+from scipy.special import logsumexp
 from scipy.stats import poisson
 
 from . import fock
@@ -240,9 +241,8 @@ def _stacked_schmidt(state: TwoModeState, trim: float, sv: float):
     """
     trim = trim if sv <= 0.0 else _FINE_TRIM
     comps = fock.state_components(state)
-    mats = [np.abs(v.reshape(state.dim, state.dim)) > trim for _, v in comps]
-    rx = 1 + max(int(np.flatnonzero(k.any(axis=1)).max(initial=0)) for k in mats)
-    ry = 1 + max(int(np.flatnonzero(k.any(axis=0)).max(initial=0)) for k in mats)
+    kept = [np.argwhere(np.abs(v.reshape(state.dim, -1)) > trim) for _, v in comps]
+    rx, ry = 1 + np.max([k.max(axis=0, initial=0) for k in kept], axis=0)
     ux, uy, blocks = [], [], []
     for w, v in comps:
         V = v.reshape(state.dim, state.dim)[:rx, :ry]
@@ -278,8 +278,8 @@ def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
     At s > 0 the sum alternates with |r| > 1; at displaced intensity lam
     its terms add up to amp = exp((|r|-1) lam) for Poisson photon numbers.
     With err = amp * (trim + row tail), points whose estimated error
-    kappa^2 (err_x amp_y + amp_x err_y) exceeds 1e-10 raise TruncationError
-    before any block is built.
+    kappa^N sum_i err_i prod_(j != i) amp_j over the N modes exceeds 1e-10
+    raise TruncationError before any block is built.
     """
     kappa = 2.0 / (1.0 - sv)
     modes = [(u, np.asarray(pts, dtype=complex).reshape(-1)) for u, pts in modes]
@@ -287,23 +287,25 @@ def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
     work = [np.ceil((abs(p) + math.sqrt(u.shape[0]) + 2.0) ** 2) + 30 for u, p in modes]
     if sv > 0.0:
         ratio = (1.0 + sv) / (1.0 - sv)
-        amp, err = [], []
+        logs = []  # (log amp, log err) per mode: in logs, nothing can overflow
         for (vecs, points), rows in zip(modes, work):
             # <u| D(a) n D(a)^+ |u> = nbar - 2 Re(conj(a) <u|a|u>) + |a|^2
             n = np.arange(vecs.shape[0])
             mean_a = np.einsum("mj,m,mj->j", vecs[:-1].conj(), np.sqrt(n[1:]), vecs[1:])
             lam = (n @ np.abs(vecs) ** 2 - 2.0 * (points.conj()[:, None] * mean_a).real
                    + np.abs(points[:, None]) ** 2).max(axis=1).clip(0.0)
-            a = np.exp(np.minimum((ratio - 1.0) * lam, 600.0))
-            e = a * (_FINE_TRIM + poisson.sf(rows - 1, ratio * lam))
-            amp.append(a if weights is None else weights @ a / math.pi)
-            err.append(e if weights is None else weights @ e / math.pi)
-        bound = float(np.max(kappa**2 * (err[0] * amp[1] + amp[0] * err[1])))
+            la = (ratio - 1.0) * lam
+            le = la + np.log(_FINE_TRIM + poisson.sf(rows - 1, ratio * lam))
+            logs.append((la, le) if weights is None else
+                        tuple(logsumexp(x, b=weights / math.pi) for x in (la, le)))
+        total = len(modes) * math.log(kappa) + sum(la for la, _ in logs)
+        terms = np.broadcast_arrays(*(total - la + le for la, le in logs))
+        digits = float(np.max(logsumexp(terms, axis=0))) / math.log(10.0)
         r_overflows = max(w.max() for w in work) * math.log(ratio) >= 700.0
-        if r_overflows or not bound <= _CANCEL_TOL:
+        if r_overflows or not digits <= math.log10(_CANCEL_TOL):
             raise TruncationError(
                 f"s={sv:g}: the alternating Fock sum cannot be held to {_CANCEL_TOL:g} "
-                f"at these points (estimated cancellation error {bound:.2e})"
+                f"at these points (estimated cancellation error 1e{digits:.1f})"
             )
     out = []
     for (vecs, points), dim_work in zip(modes, work):
@@ -364,15 +366,22 @@ def qpdf_trace(state: TwoModeState, alpha_x: complex, alpha_y: complex, s) -> fl
 
 
 def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
-    """Single-mode W(alpha, s) = Tr[rho t(alpha, s)] for a dense rho."""
+    """Single-mode W(alpha, s) = Tr[rho t(alpha, s)] for a dense rho.
+
+    Sums rho_ji <i| t(alpha, s) |j> over the support of rho trimmed at
+    1e-12, with the kernel elements and s > 0 refusal of the `qpdf_trace`
+    engine, whose estimate there sees the highest photon number kept.
+    """
     sv = _order_value(s)
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValidationError(f"rho must be square, got {rho.shape}")
-    d = rho.shape[0]
-    _check_point_dim(d, complex(alpha), "alpha")
-    t = fock.kernel(alpha, sv, d).entries
-    val = complex(np.einsum("ij,ji->", rho, t))
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("rho entries must be finite")
+    _check_point_dim(rho.shape[0], complex(alpha), "alpha")
+    k = 1 + int(np.argwhere(np.abs(rho) > _TRACE_TRIM).max(initial=0))
+    (o,) = _kernel_elements([(np.eye(k), [complex(alpha)])], sv)
+    val = complex(np.sum(rho[:k, :k].T * o[0]))
     if abs(val.imag) > _IMAG_TOL:
         raise ValidationError(f"trace has imaginary residue {val.imag:.3e}")
     return val.real

@@ -1,10 +1,14 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polqpdf
 from polqpdf import qpdf
 from polqpdf.cli import FIGURE_PRESETS, main, read_csv, write_csv, write_svg
 from polqpdf.errors import ValidationError
@@ -177,6 +181,18 @@ def test_oracle_singular_order_exit(capsys):
     ):
         assert main(argv) == 4
         assert "validation error" in capsys.readouterr().err
+
+
+def test_module_invocation_runs_the_command():
+    src = str(Path(polqpdf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-m", "polqpdf.cli", "oracle", "--tuples", "0"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert res.returncode == 4
+    assert "validation error" in res.stderr
 
 
 def test_normcheck_small_grid(capsys):

@@ -280,6 +280,20 @@ def test_state_validation():
         TwoModeState.from_density(bad, dim)
     with pytest.raises(ValidationError, match="trace"):
         TwoModeState.from_density(2.0 * rho, dim)
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        TwoModeState.from_density(np.diag([1.2, -0.2] + [0.0] * (dim * dim - 2)), dim)
+    # non-finite input
+    with pytest.raises(ValidationError, match="weights"):
+        TwoModeState.from_kets([(np.nan, v)], dim)
+    nan_ket = v.copy()
+    nan_ket[3] = np.nan
+    with pytest.raises(ValidationError, match="unit"):
+        TwoModeState.from_kets([(1.0, nan_ket)], dim)
+    for value in (np.nan, np.inf):
+        bad = rho.copy()
+        bad[0, 0] = value
+        with pytest.raises(ValidationError, match="finite"):
+            TwoModeState.from_density(bad, dim)
 
 
 def test_dense_density_limit():

@@ -217,8 +217,23 @@ def test_trace_single_mode():
     for alpha in (0j, 0.5 + 0.5j, -1.2j):
         want = 2.0 * math.exp(-2.0 * abs(alpha - beta) ** 2)
         assert qpdf_trace_single(rho, alpha, 0.0) == pytest.approx(want, abs=1e-10)
+    v = coherent_vector(0.5, 60)
+    rho = np.outer(v, v.conj())
+    for s in (-1.0, -0.5, 0.2):
+        kappa = 2.0 / (1.0 - s)
+        want = kappa * math.exp(-kappa * abs(0.4 + 0.3j - 0.5) ** 2)
+        assert abs(qpdf_trace_single(rho, 0.4 + 0.3j, s) - want) <= 1e-9
+    # closed forms 1.0e-53 and 5.6e-11: the alternating Fock sum cannot
+    # hold them to 1e-10 (a dense contraction returned -4.7e40 and -2.1e-7)
+    for s in (0.9, 0.5):
+        with pytest.raises(TruncationError, match="cancellation"):
+            qpdf_trace_single(rho, 3.0, s)
     with pytest.raises(ValidationError):
         qpdf_trace_single(np.zeros((3, 4)), 0j, 0.0)
+    bad = np.outer(one, one)
+    bad[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="finite"):
+        qpdf_trace_single(bad, 0j, 0.0)
 
 
 # ---------------------------------------------------------------------------
