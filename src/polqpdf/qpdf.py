@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.special import logsumexp
+from scipy.special import i0e, logsumexp
 from scipy.stats import poisson
 
 from . import fock
@@ -241,8 +241,9 @@ def _stacked_schmidt(state: TwoModeState, trim: float, sv: float):
     """
     trim = trim if sv <= 0.0 else _FINE_TRIM
     comps = fock.state_components(state)
-    kept = [np.argwhere(np.abs(v.reshape(state.dim, -1)) > trim) for _, v in comps]
-    rx, ry = 1 + np.max([k.max(axis=0, initial=0) for k in kept], axis=0)
+    mats = [np.abs(v.reshape(state.dim, state.dim)) > trim for _, v in comps]
+    rx = 1 + max(int(np.flatnonzero(k.any(axis=1)).max(initial=0)) for k in mats)
+    ry = 1 + max(int(np.flatnonzero(k.any(axis=0)).max(initial=0)) for k in mats)
     ux, uy, blocks = [], [], []
     for w, v in comps:
         V = v.reshape(state.dim, state.dim)[:rx, :ry]
@@ -368,9 +369,11 @@ def qpdf_trace(state: TwoModeState, alpha_x: complex, alpha_y: complex, s) -> fl
 def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
     """Single-mode W(alpha, s) = Tr[rho t(alpha, s)] for a dense rho.
 
-    Sums rho_ji <i| t(alpha, s) |j> over the support of rho trimmed at
-    1e-12, with the kernel elements and s > 0 refusal of the `qpdf_trace`
-    engine, whose estimate there sees the highest photon number kept.
+    Sums rho_ji <i| t(alpha, s) |j> over the leading k x k block of rho
+    with the kernel elements and s > 0 refusal of the `qpdf_trace` engine.
+    The entries left out, priced at kappa |rho_ij| sqrt(A_i A_j), sum to 1e-10
+    at most, where A_n = <n| D(alpha) |r|^N D(alpha)^+ |n> is at most 1 for s <= 0, and
+    for z = |r| > 1 at most e^((z-1)|alpha|^2) z^n I_0(2 sqrt(n (z-1)^2 |alpha|^2 / z)).
     """
     sv = _order_value(s)
     rho = np.asarray(rho, dtype=complex)
@@ -379,7 +382,17 @@ def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
     if not np.all(np.isfinite(rho)):
         raise ValidationError("rho entries must be finite")
     _check_point_dim(rho.shape[0], complex(alpha), "alpha")
-    k = 1 + int(np.argwhere(np.abs(rho) > _TRACE_TRIM).max(initial=0))
+    n, a2 = np.arange(rho.shape[0]), abs(complex(alpha)) ** 2
+    log_a = np.zeros(n.size)
+    if sv > 0.0:
+        z = (1.0 + sv) / (1.0 - sv)
+        y = 2.0 * np.sqrt(n * a2 * (z - 1.0) ** 2 / z)
+        log_a = (z - 1.0) * a2 + n * math.log(z) + np.log(i0e(y)) + y
+    mag = np.abs(rho)  # price / 1e-10 in logs, summed over shells n = max(i, j)
+    price = np.log(mag, out=np.full(mag.shape, -np.inf), where=mag > 0.0)
+    price += (log_a[:, None] + log_a) / 2.0 - math.log(_CANCEL_TOL * (1.0 - sv) / 2.0)
+    shells = np.bincount(np.maximum.outer(n, n).ravel(), np.exp(price.clip(max=600.0)).ravel())
+    k = max(1, int(np.count_nonzero(np.cumsum(shells[::-1]) > 1.0)))
     (o,) = _kernel_elements([(np.eye(k), [complex(alpha)])], sv)
     val = complex(np.sum(rho[:k, :k].T * o[0]))
     if abs(val.imag) > _IMAG_TOL:

@@ -228,6 +228,17 @@ def test_trace_single_mode():
     for s in (0.9, 0.5):
         with pytest.raises(TruncationError, match="cancellation"):
             qpdf_trace_single(rho, 3.0, s)
+    # a thin tail at |40> that the kernel weights by r^40: trimming it away
+    # returned 4.0 at s = 0.5, where the value is 2.4e7
+    thin = np.diag(np.r_[1.0 - 5e-13, np.zeros(39), 5e-13, np.zeros(19)])
+    for s in (0.5, 0.2, 0.0, -0.5):
+        want = 2.0 / (1.0 - s) * (1.0 - 5e-13 + 5e-13 * ((1.0 + s) / (s - 1.0)) ** 40)
+        try:
+            got = qpdf_trace_single(thin, 0j, s)
+        except TruncationError:
+            assert s > 0.0
+            continue
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
     with pytest.raises(ValidationError):
         qpdf_trace_single(np.zeros((3, 4)), 0j, 0.0)
     bad = np.outer(one, one)
