@@ -4,8 +4,8 @@ The package is organized around four layers:
 
 * `poincare`: polarization bookkeeping, Poincare-sphere angles, Jones
   vectors, bases, and the complex polarization index p;
-* `fock`: truncated Fock-space operators, displacements, the s-ordered
-  kernel family, two-mode states;
+* `fock`: truncated Fock-space vectors, the s-ordered kernel family,
+  two-mode states;
 * `qpdf`: distribution values via the analytic coherent closed form
   and the brute-force trace route, sweeps, normalization integrals;
 * `coherence`: normally ordered correlation functions, the
@@ -32,13 +32,9 @@ from .fock import (
     OrderParameter,
     TruncatedOperator,
     TwoModeState,
-    annihilation,
     coherent_vector,
-    creation,
-    displacement,
     fock_vector,
     kernel,
-    number_operator,
     reduced_modes,
     required_dim,
     state_components,
@@ -62,7 +58,6 @@ from .qpdf import (
     NormalizationResult,
     PlaneQuadrature,
     QpdfGrid,
-    RadialQuadrature,
     normalization_check,
     plane_grid_qpdf,
     poincare_sphere_qpdf,

@@ -104,7 +104,7 @@ def write_csv(grid: QpdfGrid, path: Path) -> None:
 def read_csv(path: Path) -> QpdfGrid:
     """Parse a file produced by write_csv back into an equal QpdfGrid."""
     meta: dict[str, str] = {}
-    rows: list[tuple[float, float]] = []
+    cells: list[tuple[str, str]] = []
     seen_header = False
     for raw in path.read_text().splitlines():
         line = raw.strip()
@@ -120,7 +120,7 @@ def read_csv(path: Path) -> QpdfGrid:
             seen_header = True
             continue
         a, _, v = line.partition(",")
-        rows.append((float(a), float(v)))
+        cells.append((a, v))
     try:
         kind = AxisKind(meta["axis_kind"])
         gm = GridMeta(
@@ -132,8 +132,11 @@ def read_csv(path: Path) -> QpdfGrid:
             method=Method(meta["method"]),
             measure=meta["measure"],
         )
+        rows = [(float(a), float(v)) for a, v in cells]
     except KeyError as exc:
         raise ValidationError(f"CSV header is missing {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"malformed CSV value: {exc}") from exc
     values = np.array([v for _, v in rows])
     if kind is AxisKind.PLANE:
         n = round(math.isqrt(len(rows)))
@@ -262,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=f"emit the {name} preset curve")
         sp.add_argument("--method", choices=[m.value for m in Method],
                         default=Method.CLOSED_FORM.value)
-        sp.add_argument("--dim", type=int, help="Fock dim for the trace route")
         _add_output_flags(sp)
 
     sp = sub.add_parser("sweep", help="custom sweep of the coherent-pair QPDF")
@@ -277,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="fixed arg alpha_x; sweeps |alpha_x| over [0, 8]")
     sp.add_argument("--max-modulus", type=float, default=8.0)
     sp.add_argument("--points", type=int, default=512)
-    sp.add_argument("--dim", type=int)
     sp.add_argument("--method", choices=[m.value for m in Method],
                     default=Method.CLOSED_FORM.value)
     _add_output_flags(sp)
@@ -322,13 +323,11 @@ def _run_figure(name: str, args: argparse.Namespace) -> int:
     method = Method(args.method)
     if preset["kind"] is AxisKind.PHASE:
         grid = qpdf.sweep_phase(preset["beta"], preset["q"], preset["p"],
-                                preset["fixed"], preset["s"],
-                                method=method, dim=args.dim)
+                                preset["fixed"], preset["s"], method=method)
         title = f"{name}: |alpha|={preset['fixed']:g}, s={preset['s']:g}"
     else:
         grid = qpdf.sweep_modulus(preset["beta"], preset["q"], preset["p"],
-                                  preset["fixed"], preset["s"],
-                                  method=method, dim=args.dim)
+                                  preset["fixed"], preset["s"], method=method)
         title = f"{name}: arg alpha={preset['fixed']:.4g}, s={preset['s']:g}"
     _emit_grid(grid, _out_path(args.out, f"{name}.csv"), args.svg, title)
     return EXIT_OK
@@ -338,13 +337,12 @@ def _run_sweep(args: argparse.Namespace) -> int:
     method = Method(args.method)
     if args.modulus is not None:
         grid = qpdf.sweep_phase(args.beta, args.q, args.p, args.modulus, args.s,
-                                n_points=args.points, method=method, dim=args.dim)
+                                n_points=args.points, method=method)
         title = f"phase sweep at |alpha|={args.modulus:g}, s={args.s:g}"
     else:
         grid = qpdf.sweep_modulus(args.beta, args.q, args.p, args.phase, args.s,
                                   max_modulus=args.max_modulus,
-                                  n_points=args.points, method=method,
-                                  dim=args.dim)
+                                  n_points=args.points, method=method)
         title = f"modulus sweep at arg={args.phase:.4g}, s={args.s:g}"
     _emit_grid(grid, _out_path(args.out, "sweep.csv"), args.svg, title)
     return EXIT_OK

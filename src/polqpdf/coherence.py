@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import TruncationError, ValidationError
-from .fock import TwoModeState, annihilation, creation, state_components
+from .fock import TwoModeState, state_components
 from .poincare import PolarizationIndex
 
 __all__ = [
@@ -74,18 +75,16 @@ class FactorizationCheck(NamedTuple):
 
 
 def _mode_power_operator(m: int, n: int, dim: int) -> np.ndarray:
-    """a^dag^m a^n cropped to dim x dim.
+    """a^dag^m a^n on photon numbers 0..dim-1, from its exact entries.
 
-    Built at dim + m + n so the crop never contains boundary-corrupted
-    entries.
+    <k-n+m| a^dag^m a^n |k> = sqrt(k! (k-n+m)!) / (k-n)! for k >= n.
     """
-    dim_work = dim + m + n
-    op = np.eye(dim_work, dtype=complex)
-    if n:
-        op = np.linalg.matrix_power(annihilation(dim_work).entries, n)
-    if m:
-        op = np.linalg.matrix_power(creation(dim_work).entries, m) @ op
-    return op[:dim, :dim]
+    k = np.arange(n, min(dim, dim + n - m))
+    op = np.zeros((dim, dim), dtype=complex)
+    op[k - n + m, k] = np.exp(
+        0.5 * (gammaln(k + 1.0) + gammaln(k - n + m + 1.0)) - gammaln(k - n + 1.0)
+    )
+    return op
 
 
 def _require_order_fits(state: TwoModeState, order: CoherenceOrder) -> None:

@@ -35,12 +35,8 @@ __all__ = [
     "TruncatedOperator",
     "TwoModeState",
     "required_dim",
-    "annihilation",
-    "creation",
-    "number_operator",
     "fock_vector",
     "coherent_vector",
-    "displacement",
     "kernel",
     "two_mode_coherent_density",
     "state_components",
@@ -50,6 +46,8 @@ __all__ = [
 _TAIL_TOL = 1e-12
 # dense two-mode matrices above this per-mode dim are refused (memory)
 _DENSE_DIM_LIMIT = 130
+# (M + 3)^2 + 10 stays below the largest int64 array index
+_MAX_MODULUS = 3e9
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +105,6 @@ class TruncatedOperator:
         if not np.all(np.isfinite(ent)):
             raise ValidationError("operator entries must be finite")
         object.__setattr__(self, "entries", _freeze(ent))
-
-    def dagger(self) -> "TruncatedOperator":
-        return TruncatedOperator(self.dim, self.entries.conj().T)
 
 
 class TwoModeState:
@@ -208,35 +203,20 @@ def required_dim(max_modulus: float) -> int:
     (M + 3)^2 + 10 keeps the discarded coherent (Poisson) tail below
     1e-12; callers comparing against closed forms at tolerances tighter
     than ~1e-6 should size with the relevant *displaced* modulus instead
-    (the amplitude of the state as seen from the evaluation point).
+    (the amplitude of the state as seen from the evaluation point).  A
+    modulus whose size is no valid array index raises `TruncationError`.
     """
     m = float(max_modulus)
     if not math.isfinite(m) or m < 0.0:
         raise ValidationError(f"modulus must be finite and >= 0, got {max_modulus!r}")
+    if not m < _MAX_MODULUS:
+        raise TruncationError(f"no Fock dim can be sized for modulus {m:.4g}")
     return int(math.ceil((m + 3.0) ** 2 + 10.0))
 
 
 # ---------------------------------------------------------------------------
 # single-mode building blocks
 # ---------------------------------------------------------------------------
-
-def annihilation(dim: int) -> TruncatedOperator:
-    """Photon annihilation operator, sqrt(n) on the superdiagonal."""
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), k=1).astype(complex)
-    return TruncatedOperator(dim, a)
-
-
-def creation(dim: int) -> TruncatedOperator:
-    return annihilation(dim).dagger()
-
-
-def number_operator(dim: int) -> TruncatedOperator:
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    return TruncatedOperator(dim, np.diag(np.arange(dim, dtype=complex)))
-
 
 def fock_vector(n: int, dim: int) -> np.ndarray:
     if not 0 <= n < dim:
@@ -314,13 +294,6 @@ def _displacement_block(xis: np.ndarray, rows: int, cols: int) -> np.ndarray:
         parity = np.where(upper, np.power(-1.0, k), 1.0)
         out[nz] = mag * parity * np.exp(1j * (k * sgn) * theta)
     return out
-
-
-def displacement(xi: complex, dim: int) -> TruncatedOperator:
-    """Displacement operator D(xi) = exp(xi a+ - xi* a), truncated."""
-    if dim < 1:
-        raise ValidationError(f"dim must be >= 1, got {dim}")
-    return TruncatedOperator(dim, _displacement_block(np.array([xi]), dim, dim)[0])
 
 
 def _kernel_diagonal(s: float, dim: int) -> np.ndarray:

@@ -44,7 +44,6 @@ __all__ = [
     "GridMeta",
     "QpdfGrid",
     "PlaneQuadrature",
-    "RadialQuadrature",
     "NormalizationResult",
     "MEASURE_NOTE",
     "qpdf_trace",
@@ -70,6 +69,9 @@ _CANCEL_TOL = 1e-10
 # points per displacement block, and the cap on elements per block
 _CHUNK = 512
 _BLOCK_CAP = 1_000_000
+# polar rule of the sphere section integral: Gauss-Legendre radii, uniform angles
+_SPHERE_RADII = 160
+_SPHERE_ANGLES = 256
 
 MEASURE_NOTE = "d2alpha=dRe*dIm; values carry no 1/pi factors"
 
@@ -146,23 +148,6 @@ class PlaneQuadrature:
             raise ValidationError("nodes_per_axis must be >= 2")
         if not (math.isfinite(self.half_width) and self.half_width > 0):
             raise ValidationError("half_width must be finite and > 0")
-
-
-@dataclass(frozen=True)
-class RadialQuadrature:
-    """Polar rule: Gauss-Legendre in radius, uniform in angle."""
-
-    n_radial: int = 160
-    n_angular: int = 256
-    max_radius: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_radial < 2 or self.n_angular < 4:
-            raise ValidationError("need n_radial >= 2 and n_angular >= 4")
-        if self.max_radius is not None and not (
-            math.isfinite(self.max_radius) and self.max_radius > 0
-        ):
-            raise ValidationError("max_radius must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -285,7 +270,10 @@ def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
     kappa = 2.0 / (1.0 - sv)
     modes = [(u, np.asarray(pts, dtype=complex).reshape(-1)) for u, pts in modes]
     # working dim per point: D(-alpha) u reaches (|alpha| + sqrt(support))^2
-    work = [np.ceil((abs(p) + math.sqrt(u.shape[0]) + 2.0) ** 2) + 30 for u, p in modes]
+    with np.errstate(over="ignore"):
+        work = [np.ceil((abs(p) + math.sqrt(u.shape[0]) + 2.0) ** 2) + 30 for u, p in modes]
+    if not all(np.isfinite(w).all() for w in work):
+        raise TruncationError("no Fock dim can hold these points: working dim overflows")
     if sv > 0.0:
         ratio = (1.0 + sv) / (1.0 - sv)
         logs = []  # (log amp, log err) per mode: in logs, nothing can overflow
@@ -404,7 +392,7 @@ def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
 # sweeps
 # ---------------------------------------------------------------------------
 
-def _sweep(kind: AxisKind, axis, axs, beta, q, p, sv, method, dim) -> QpdfGrid:
+def _sweep(kind: AxisKind, axis, axs, beta, q, p, sv, method) -> QpdfGrid:
     """Values along alpha_y = p * alpha_x for the pair |beta, q*beta>."""
     pv, qv, bv = complex(p), complex(q), complex(beta)
     gamma = qv * bv
@@ -416,10 +404,8 @@ def _sweep(kind: AxisKind, axis, axs, beta, q, p, sv, method, dim) -> QpdfGrid:
         # the kernel shifts the state by the sweep point, so size the
         # space for the displaced moduli |alpha| + |amplitude| per mode
         mx, my = float(np.max(np.abs(axs))), float(np.max(np.abs(ays)))
-        dim_used = dim or max(required_dim(mx + abs(bv)), required_dim(my + abs(gamma)))
+        dim_used = max(required_dim(mx + abs(bv)), required_dim(my + abs(gamma)))
         state = fock.two_mode_coherent_density(bv, gamma, dim_used)
-        _check_point_dim(dim_used, complex(mx), "sweep point")
-        _check_point_dim(dim_used, complex(my), "sweep point")
         vals = _trace_points(state, axs, ays, sv)
     return QpdfGrid(kind, axis, vals, GridMeta(sv, pv, qv, bv, dim_used, method))
 
@@ -432,7 +418,6 @@ def sweep_phase(
     s,
     n_points: int = 512,
     method: Method = Method.CLOSED_FORM,
-    dim: int | None = None,
 ) -> QpdfGrid:
     """Scan arg(alpha_x) over [0, 2*pi) at fixed |alpha_x| = modulus."""
     sv = _order_value(s)
@@ -442,7 +427,7 @@ def sweep_phase(
         raise ValidationError("n_points must be >= 2")
     axis = np.arange(n_points) * (2.0 * math.pi / n_points)
     return _sweep(AxisKind.PHASE, axis, modulus * np.exp(1j * axis), beta, q, p, sv,
-                  method, dim)
+                  method)
 
 
 def sweep_modulus(
@@ -454,7 +439,6 @@ def sweep_modulus(
     max_modulus: float = 8.0,
     n_points: int = 512,
     method: Method = Method.CLOSED_FORM,
-    dim: int | None = None,
 ) -> QpdfGrid:
     """Scan |alpha_x| over [0, max_modulus] at fixed arg(alpha_x) = phase."""
     sv = _order_value(s)
@@ -464,7 +448,7 @@ def sweep_modulus(
         raise ValidationError("n_points must be >= 2")
     axis = np.linspace(0.0, float(max_modulus), n_points)
     axs = axis * complex(math.cos(phase), math.sin(phase))
-    return _sweep(AxisKind.MODULUS, axis, axs, beta, q, p, sv, method, dim)
+    return _sweep(AxisKind.MODULUS, axis, axs, beta, q, p, sv, method)
 
 
 def plane_grid_qpdf(
@@ -481,6 +465,8 @@ def plane_grid_qpdf(
     sv = _order_value(s)
     if not (math.isfinite(half_width) and half_width > 0):
         raise ValidationError("half_width must be finite and > 0")
+    if n_points < 2:
+        raise ValidationError("n_points must be >= 2")
     axis = np.linspace(-float(half_width), float(half_width), n_points)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     pts = (re + 1j * im).reshape(-1)
@@ -506,6 +492,8 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _plane_nodes(quad: PlaneQuadrature) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gl_nodes(quad.nodes_per_axis)
     L = quad.half_width
+    if not math.isfinite(L * L):  # the weights L^2 w_i w_j would overflow
+        raise TruncationError(f"no Fock dim can hold a box of half-width {L:.4g}")
     xs = L * x
     ws = L * w
     re, im = np.meshgrid(xs, xs, indexing="ij")
@@ -563,7 +551,6 @@ def poincare_sphere_qpdf(
     q,
     p_direction: tuple[float, float],
     s,
-    radial: RadialQuadrature = RadialQuadrature(),
 ) -> float:
     """Integral of the closed-form section over the alpha_x plane.
 
@@ -579,15 +566,13 @@ def poincare_sphere_qpdf(
     kappa = 2.0 / (1.0 - sv)
     a_quad = kappa * (1.0 + abs(pv) ** 2)
     center = abs(1.0 + pv.conjugate() * qv) * abs(bv) / (1.0 + abs(pv) ** 2)
-    r_max = radial.max_radius
-    if r_max is None:
-        r_max = center + 10.0 / math.sqrt(a_quad) + 1.0
+    r_max = center + 10.0 / math.sqrt(a_quad) + 1.0
 
-    xr, wr = _gl_nodes(radial.n_radial)
+    xr, wr = _gl_nodes(_SPHERE_RADII)
     rr = 0.5 * r_max * (xr + 1.0)
     wr = 0.5 * r_max * wr
-    th = np.arange(radial.n_angular) * (2.0 * math.pi / radial.n_angular)
-    wth = 2.0 * math.pi / radial.n_angular
+    th = np.arange(_SPHERE_ANGLES) * (2.0 * math.pi / _SPHERE_ANGLES)
+    wth = 2.0 * math.pi / _SPHERE_ANGLES
     pts = rr[:, None] * np.exp(1j * th[None, :])
     vals = qpdf_polarization_section(bv, qv, pv, pts, sv)
     return float(np.einsum("rt,r,r->", vals, rr, wr)) * wth

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polqpdf
 from polqpdf import qpdf
@@ -77,11 +79,52 @@ def test_plane_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, grid.values)
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_COMPLEX = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _grids(draw):
+    kind = draw(st.sampled_from(AxisKind))
+    n = draw(st.integers(2, 5 if kind is AxisKind.PLANE else 12))
+    axis = sorted(draw(st.lists(_FINITE, min_size=n, max_size=n, unique=True)))
+    size = n * n if kind is AxisKind.PLANE else n
+    values = draw(st.lists(_FINITE, min_size=size, max_size=size))
+    meta = GridMeta(draw(st.floats(-1.0, 1.0, exclude_max=True)), draw(_COMPLEX),
+                    draw(_COMPLEX), draw(_COMPLEX),
+                    draw(st.none() | st.integers(1, 10**6)),
+                    draw(st.sampled_from(Method)))
+    return QpdfGrid(kind, np.array(axis), np.array(values), meta)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_grids())
+def test_csv_round_trip_property(tmp_path_factory, grid):
+    path = tmp_path_factory.mktemp("csv") / "grid.csv"
+    write_csv(grid, path)
+    back = read_csv(path)
+    assert back.axis_kind is grid.axis_kind
+    assert np.array_equal(back.axis_values, grid.axis_values)
+    assert np.array_equal(back.values, grid.values)
+    assert back.meta == grid.meta
+    again = path.with_name("again.csv")
+    write_csv(back, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
 def test_read_csv_rejects_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("# s=0.0\nnot,a,header\n")
-    with pytest.raises(ValidationError):
-        read_csv(bad)
+    header = ("# s=0.0\n# p=0j\n# q=0j\n# beta=0j\n# dim=none\n"
+              "# method=closed_form\n# measure=m\n# axis_kind=phase_sweep\n")
+    for text in (
+        "# s=0.0\nnot,a,header\n",
+        header + "axis,value\nabc,1.0\n0,1\n",
+        header.replace("# s=0.0", "# s=zz") + "axis,value\n0,1\n1,2\n",
+        header.replace("closed_form", "foo") + "axis,value\n0,1\n1,2\n",
+    ):
+        bad.write_text(text)
+        with pytest.raises(ValidationError):
+            read_csv(bad)
     missing = tmp_path / "missing.csv"
     missing.write_text("axis,value\n0,1\n1,2\n")
     with pytest.raises(ValidationError, match="missing"):
@@ -165,8 +208,16 @@ def test_oracle_defaults_pass(capsys):
 
 
 def test_oracle_truncation_exit(capsys):
-    # normcheck at s > 0 is refused: the alternating Fock sum cancels
-    for argv in (["oracle", "--dim", "10"], ["normcheck", "--s", "0.3"]):
+    # normcheck at s > 0 is refused: the alternating Fock sum cancels;
+    # no Fock dim holds moduli or boxes whose squares overflow a float
+    for argv in (
+        ["oracle", "--dim", "10"],
+        ["normcheck", "--s", "0.3"],
+        ["sweep", "--beta=1e200,0", "--p=0.1", "--q=0.1", "--modulus=1",
+         "--method=trace_oracle"],
+        ["normcheck", "--points=2", "--half-width=1e200"],
+        ["normcheck", "--half-width=1.2e154"],
+    ):
         assert main(argv) == 3
         assert "truncation error" in capsys.readouterr().err
 

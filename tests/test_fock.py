@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from polqpdf import fock
+from polqpdf.coherence import _mode_power_operator
 from polqpdf.errors import (
     SingularOrderError,
     TruncationError,
@@ -13,13 +14,9 @@ from polqpdf.errors import (
 from polqpdf.fock import (
     OrderParameter,
     TwoModeState,
-    annihilation,
     coherent_vector,
-    creation,
-    displacement,
     fock_vector,
     kernel,
-    number_operator,
     reduced_modes,
     required_dim,
     state_components,
@@ -29,15 +26,20 @@ from polqpdf.fock import (
 from dense_reference import expectation, transiting, transiting_restricted
 
 
+def _displacement(xi, dim):
+    return fock._displacement_block(np.array([xi]), dim, dim)[0]
+
+
 def test_ladder_entries():
-    a = annihilation(4).entries
+    a = _mode_power_operator(0, 1, 4)
     assert a[0, 1] == 1.0
     assert a[1, 2] == pytest.approx(math.sqrt(2.0))
     assert a[2, 3] == pytest.approx(math.sqrt(3.0))
     assert np.count_nonzero(a) == 3
-    assert np.array_equal(creation(4).entries, a.conj().T)
-    n = number_operator(5).entries
-    assert np.array_equal(np.diag(n).real, np.arange(5.0))
+    assert np.array_equal(_mode_power_operator(1, 0, 4), a.conj().T)
+    n = _mode_power_operator(1, 1, 5)
+    assert np.count_nonzero(n - np.diag(np.diag(n))) == 0
+    assert np.diag(n).real == pytest.approx(np.arange(5.0), rel=1e-14)
 
 
 def test_order_parameter():
@@ -54,9 +56,9 @@ def test_coherent_vector_statistics():
     beta = 1.2 + 0.5j
     v = coherent_vector(beta, 50)
     assert abs(np.vdot(v, v) - 1.0) <= 1e-12
-    n = number_operator(50).entries
+    n = np.diag(np.arange(50.0))
     assert abs(np.vdot(v, n @ v) - abs(beta) ** 2) <= 1e-10
-    a = annihilation(50).entries
+    a = np.diag(np.sqrt(np.arange(1.0, 50.0)), k=1)
     # approximate eigenvector of the annihilation operator
     assert np.linalg.norm(a @ v - beta * v) <= 1e-9
 
@@ -73,23 +75,27 @@ def test_required_dim_rule():
     assert required_dim(0.0) == 19
     assert required_dim(2.5) == 41
     assert required_dim(7.0) == 110
+    # no array index, or no float at all, holds (M + 3)^2
+    for m in (1e10, 1e200):
+        with pytest.raises(TruncationError, match="no Fock dim"):
+            required_dim(m)
 
 
 def test_displacement_against_matrix_exponential():
     """Closed-form entries agree with expm(xi a^dag - conj(xi) a)."""
     rng = np.random.default_rng(201)
     big, crop = 160, 40
-    a = annihilation(big).entries
+    a = np.diag(np.sqrt(np.arange(1.0, big)), k=1)
     for _ in range(5):
         xi = complex(*rng.uniform(-1.5, 1.5, 2))
         gen = xi * a.conj().T - xi.conjugate() * a
         want = expm(gen)[:crop, :crop]
-        got = displacement(xi, big).entries[:crop, :crop]
+        got = _displacement(xi, big)[:crop, :crop]
         assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_displacement_identity_at_zero():
-    d = displacement(0j, 12).entries
+    d = _displacement(0j, 12)
     assert np.array_equal(d, np.eye(12))
 
 
@@ -97,7 +103,7 @@ def test_displacement_of_vacuum_is_coherent():
     xi = 0.9 - 0.4j
     dim = required_dim(abs(xi))
     vac = fock_vector(0, dim)
-    assert np.max(np.abs(displacement(xi, dim).entries @ vac
+    assert np.max(np.abs(_displacement(xi, dim) @ vac
                          - coherent_vector(xi, dim))) <= 1e-10
 
 
@@ -105,10 +111,10 @@ def test_displacement_unitarity_half_block():
     dim = 160
     half = dim // 2
     for xi in (3.0 + 0j, 2.1 - 2.1j, 0.3j):
-        d = displacement(xi, dim).entries
+        d = _displacement(xi, dim)
         left = (d.conj().T @ d - np.eye(dim))[:half, :half]
         assert np.max(np.abs(left)) <= 1e-8
-        both = (d @ displacement(-xi, dim).entries - np.eye(dim))[:half, :half]
+        both = (d @ _displacement(-xi, dim) - np.eye(dim))[:half, :half]
         assert np.max(np.abs(both)) <= 1e-8
 
 

@@ -21,7 +21,6 @@ from polqpdf.qpdf import (
     Method,
     PlaneQuadrature,
     QpdfGrid,
-    RadialQuadrature,
     normalization_check,
     plane_grid_qpdf,
     poincare_sphere_qpdf,
@@ -269,7 +268,12 @@ def test_sweep_methods_agree_on_constant_state():
     a = sweep_phase(beta, p, p, abs(beta), 0.0, n_points=64)
     b = sweep_phase(beta, p, p, abs(beta), 0.0, n_points=64,
                     method=Method.TRACE_ORACLE)
-    assert b.meta.dim_used is not None
+    # the sizing rule, at the displaced moduli per mode, is the only way
+    # a sweep gets its dimension
+    axs = abs(beta) * np.exp(1j * a.axis_values)
+    mx, my = np.max(np.abs(axs)), np.max(np.abs(p * axs))
+    rule = max(required_dim(mx + abs(beta)), required_dim(my + abs(p * beta)))
+    assert b.meta.dim_used == rule
     assert np.max(np.abs(a.values - b.values)) <= 1e-8
 
 
@@ -318,6 +322,10 @@ def test_grid_validation():
                  np.array([0.0, math.inf]), meta)
     # plane grids take n^2 values
     QpdfGrid(AxisKind.PLANE, np.array([0.0, 1.0]), np.zeros(4), meta)
+    state = two_mode_coherent_density(0j, 0j, 20)
+    for n in (0, 1):
+        with pytest.raises(ValidationError, match="n_points"):
+            plane_grid_qpdf(state, 0.0, 1.0, n)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +373,6 @@ def test_quadrature_validation():
         PlaneQuadrature(1, 6.0)
     with pytest.raises(ValidationError):
         PlaneQuadrature(100, -1.0)
-    with pytest.raises(ValidationError):
-        RadialQuadrature(1, 64)
-    with pytest.raises(ValidationError):
-        RadialQuadrature(max_radius=-2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +409,15 @@ def test_sphere_integral_pole():
 
 
 def test_sphere_integral_explicit_radius():
-    val_auto = poincare_sphere_qpdf(0.3j, 0.1, (0.8, 0.0), -0.5)
-    val_wide = poincare_sphere_qpdf(0.3j, 0.1, (0.8, 0.0), -0.5,
-                                    RadialQuadrature(200, 256, max_radius=12.0))
+    """The automatic radius agrees with a wider polar rule out to 12."""
+    beta, q, chi0, d0, s = 0.3j, 0.1, 0.8, 0.0, -0.5
+    p = math.tan(chi0 / 2.0) * complex(math.cos(d0), math.sin(d0))
+    x, w = np.polynomial.legendre.leggauss(200)
+    r, wr = 6.0 * (x + 1.0), 6.0 * w
+    th = np.arange(256) * (2.0 * math.pi / 256)
+    vals = qpdf_polarization_section(beta, q, p, r[:, None] * np.exp(1j * th), s)
+    val_wide = float(np.sum(vals * (r * wr)[:, None])) * (2.0 * math.pi / 256)
+    val_auto = poincare_sphere_qpdf(beta, q, (chi0, d0), s)
     assert val_auto == pytest.approx(val_wide, rel=1e-9)
 
 
