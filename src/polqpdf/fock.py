@@ -12,8 +12,10 @@ through `TwoModeState` and the helpers here instead of doing raw index
 arithmetic.
 
 Truncation sizing: a coherent amplitude of modulus M is well represented
-once dim >= (M + 3)^2 + 10 (`required_dim`); `coherent_vector` verifies
-the discarded Poisson tail explicitly rather than trusting the rule.
+once dim >= (M + 3)^2 + 10 and the Poisson(M^2) tail beyond dim is below
+1e-12; `required_dim` takes the larger of the two, which is the quadratic
+rule up to M = 10.49.  `coherent_vector` verifies the discarded Poisson
+tail explicitly rather than trusting the rule.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.special import eval_genlaguerre, gammaln
-from scipy.stats import poisson
+from scipy.special import eval_genlaguerre, gammaln, pdtrc
 
 from .errors import SingularOrderError, TruncationError, ValidationError
 
@@ -197,21 +198,35 @@ class TwoModeState:
 # truncation sizing
 # ---------------------------------------------------------------------------
 
+def _poisson_dim(lam: float) -> int:
+    """Smallest dim whose discarded Poisson tail pdtrc(dim - 1, lam) is below 1e-12."""
+    lo, hi = 0, 1  # dim 0 discards everything; double hi until it holds
+    while not pdtrc(hi - 1, lam) < _TAIL_TOL:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pdtrc(mid - 1, lam) < _TAIL_TOL else (mid, hi)
+    return hi
+
+
 def required_dim(max_modulus: float) -> int:
     """Fock-space size that comfortably holds amplitudes up to a modulus.
 
-    (M + 3)^2 + 10 keeps the discarded coherent (Poisson) tail below
-    1e-12; callers comparing against closed forms at tolerances tighter
-    than ~1e-6 should size with the relevant *displaced* modulus instead
-    (the amplitude of the state as seen from the evaluation point).  A
-    modulus whose size is no valid array index raises `TruncationError`.
+    The larger of (M + 3)^2 + 10 and the smallest dim that keeps the
+    discarded coherent (Poisson(M^2)) tail below 1e-12; the quadratic
+    rule wins up to M = 10.49.  Callers comparing against closed forms at
+    tolerances tighter than ~1e-6 should size with the relevant
+    *displaced* modulus instead (the amplitude of the state as seen from
+    the evaluation point).  A modulus whose size is no valid array index
+    raises `TruncationError`.
     """
     m = float(max_modulus)
     if not math.isfinite(m) or m < 0.0:
         raise ValidationError(f"modulus must be finite and >= 0, got {max_modulus!r}")
     if not m < _MAX_MODULUS:
         raise TruncationError(f"no Fock dim can be sized for modulus {m:.4g}")
-    return int(math.ceil((m + 3.0) ** 2 + 10.0))
+    dim = int(math.ceil((m + 3.0) ** 2 + 10.0))
+    return dim if pdtrc(dim - 1, m * m) < _TAIL_TOL else _poisson_dim(m * m)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +252,14 @@ def coherent_vector(beta: complex, dim: int) -> np.ndarray:
     beta = complex(beta)
     if not cmath.isfinite(beta):
         raise ValidationError(f"amplitude must be finite, got {beta!r}")
+    if not abs(beta) < _MAX_MODULUS:
+        raise TruncationError(f"no Fock dim can hold |beta|={abs(beta):.4g}")
     lam = abs(beta) ** 2
-    tail = float(poisson.sf(dim - 1, lam))
+    tail = float(pdtrc(dim - 1, lam))
     if not tail < _TAIL_TOL:
-        needed = int(poisson.isf(_TAIL_TOL, lam)) + 1
         raise TruncationError(
             f"dim={dim} keeps a coherent tail of {tail:.3e} for |beta|={abs(beta):.4g}; "
-            f"need dim >= {needed}"
+            f"need dim >= {_poisson_dim(lam)}"
         )
     n = np.arange(dim)
     if lam == 0.0:

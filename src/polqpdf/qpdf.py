@@ -29,8 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import block_diag
-from scipy.special import i0e, logsumexp
-from scipy.stats import poisson
+from scipy.special import i0e, logsumexp, pdtrc
 
 from . import fock
 from .errors import TruncationError, ValidationError
@@ -251,6 +250,7 @@ def _engine_rows(sv: float, dim_work: int) -> int:
     return dim_work
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite outputs are refused below
 def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
     """Exact <u_i| t(alpha, s) |u_j> per point for each (vecs, points) mode.
 
@@ -265,13 +265,13 @@ def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
     its terms add up to amp = exp((|r|-1) lam) for Poisson photon numbers.
     With err = amp * (trim + row tail), points whose estimated error
     kappa^N sum_i err_i prod_(j != i) amp_j over the N modes exceeds 1e-10
-    raise TruncationError before any block is built.
+    raise TruncationError before any block is built, and so do elements
+    that come out non-finite, e.g. where a Laguerre factor overflows.
     """
     kappa = 2.0 / (1.0 - sv)
     modes = [(u, np.asarray(pts, dtype=complex).reshape(-1)) for u, pts in modes]
     # working dim per point: D(-alpha) u reaches (|alpha| + sqrt(support))^2
-    with np.errstate(over="ignore"):
-        work = [np.ceil((abs(p) + math.sqrt(u.shape[0]) + 2.0) ** 2) + 30 for u, p in modes]
+    work = [np.ceil((abs(p) + math.sqrt(u.shape[0]) + 2.0) ** 2) + 30 for u, p in modes]
     if not all(np.isfinite(w).all() for w in work):
         raise TruncationError("no Fock dim can hold these points: working dim overflows")
     if sv > 0.0:
@@ -284,7 +284,7 @@ def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
             lam = (n @ np.abs(vecs) ** 2 - 2.0 * (points.conj()[:, None] * mean_a).real
                    + np.abs(points[:, None]) ** 2).max(axis=1).clip(0.0)
             la = (ratio - 1.0) * lam
-            le = la + np.log(_FINE_TRIM + poisson.sf(rows - 1, ratio * lam))
+            le = la + np.log(_FINE_TRIM + pdtrc(rows - 1, ratio * lam))
             logs.append((la, le) if weights is None else
                         tuple(logsumexp(x, b=weights / math.pi) for x in (la, le)))
         total = len(modes) * math.log(kappa) + sum(la for la, _ in logs)
@@ -321,6 +321,9 @@ def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
                 o[idx] = kappa * (left @ phi)
             else:
                 o += np.tensordot(weights[idx], kappa * (left @ phi), 1) / math.pi
+        if not np.isfinite(o).all():
+            raise TruncationError("no Fock dim can hold these points: kernel elements "
+                                  "are not finite")
         out.append(o)
     return out
 

@@ -217,6 +217,8 @@ def test_oracle_truncation_exit(capsys):
          "--method=trace_oracle"],
         ["normcheck", "--points=2", "--half-width=1e200"],
         ["normcheck", "--half-width=1.2e154"],
+        ["normcheck", "--points=2", "--half-width=1e20"],
+        ["report", "--beta=1e200,0.5"],
     ):
         assert main(argv) == 3
         assert "truncation error" in capsys.readouterr().err
@@ -244,6 +246,28 @@ def test_module_invocation_runs_the_command():
     )
     assert res.returncode == 4
     assert "validation error" in res.stderr
+
+
+def test_cli_import_skips_scipy_stats():
+    # scipy.stats alone used to double the start-up time of every command
+    src = str(Path(polqpdf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polqpdf.cli; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
+def test_normcheck_fails_on_nan_deviation(monkeypatch, capsys):
+    # max() drops a NaN deviation, which printed PASS for all-NaN totals
+    nan = qpdf.NormalizationResult(math.nan, 1.0, 1.0, 6.0, 6.0)
+    monkeypatch.setattr(qpdf, "normalization_check", lambda *args: nan)
+    assert main(["normcheck", "--points=2"]) == 2
+    assert "FAIL" in capsys.readouterr().err
 
 
 def test_normcheck_small_grid(capsys):

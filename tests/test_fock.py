@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import pdtrc
 
 from polqpdf import fock
 from polqpdf.coherence import _mode_power_operator
@@ -64,8 +65,12 @@ def test_coherent_vector_statistics():
 
 
 def test_coherent_vector_tail_guard():
-    with pytest.raises(TruncationError, match="need dim >="):
+    # poisson.isf(1e-12, 6.25) + 1
+    with pytest.raises(TruncationError, match="need dim >= 32$"):
         coherent_vector(2.5, 10)
+    # |beta|^2 overflows a float
+    with pytest.raises(TruncationError, match="no Fock dim"):
+        coherent_vector(1e200, 10)
     for bad in (complex(math.nan, 0.5), complex(math.inf, 0.5)):
         with pytest.raises(ValidationError, match="finite"):
             coherent_vector(bad, 10)
@@ -75,6 +80,11 @@ def test_required_dim_rule():
     assert required_dim(0.0) == 19
     assert required_dim(2.5) == 41
     assert required_dim(7.0) == 110
+    assert required_dim(10.0) == 179
+    # above M = 10.49 (M + 3)^2 + 10 alone keeps a tail above 1e-12
+    for m in (10.5, 15.0, 20.0, 50.0):
+        assert pdtrc(required_dim(m) - 1, m * m) < 1e-12
+    coherent_vector(20.0, required_dim(20.0))
     # no array index, or no float at all, holds (M + 3)^2
     for m in (1e10, 1e200):
         with pytest.raises(TruncationError, match="no Fock dim"):

@@ -359,6 +359,14 @@ def test_normalization_of_entangled_state():
     assert abs(res.mode_x - 1.0) <= 1e-4
 
 
+def test_normalization_refuses_non_finite_kernel_elements():
+    # the Laguerre factor overflows where exp(-|xi|^2/2) underflows: the
+    # total came back NaN with only a RuntimeWarning
+    state = two_mode_coherent_density(0.8 + 0.3j, 0.1, 40)
+    with pytest.raises(TruncationError, match="not finite"):
+        normalization_check(state, 0.0, PlaneQuadrature(2, 1e20))
+
+
 def test_normalization_box_warning():
     # amplitude 3 wants a half-width of 8; the undersized box is flagged
     state = two_mode_coherent_density(3.0, 0j, 40)
