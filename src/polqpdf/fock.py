@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import zpstrf
 from scipy.special import eval_genlaguerre, gammaln, pdtrc
 
 from .errors import SingularOrderError, TruncationError, ValidationError
@@ -113,7 +114,7 @@ class TwoModeState:
 
     States built from kets keep those pairs and materialize the dense
     density only on demand.  `from_density` validates a density matrix and
-    decomposes it once: its eigenpairs above 1e-13 become the mixture.
+    factors it once: the factor's orthonormal columns become the mixture.
     """
 
     __slots__ = ("dim", "_mixture", "_density", "_from_kets")
@@ -152,6 +153,14 @@ class TwoModeState:
 
     @classmethod
     def from_density(cls, density: np.ndarray, dim: int) -> "TwoModeState":
+        """Validate a dense density and factor it once.
+
+        Pivoted Cholesky (zpstrf, pivots above 1e-13) gives rho ~ F F^H; the
+        thin SVD of F gives the orthonormal mixture, weighted by sigma^2.
+        Accepted iff sqrt(2) ||tril(rho - F F^H)||_F <= 1e-10, so
+        lambda_min >= -1e-10; this refuses a density the factor misses by
+        more even when lambda_min lies in [-1e-10, 0).
+        """
         d2 = dim * dim
         rho = np.array(density, dtype=complex)
         if rho.shape != (d2, d2):
@@ -164,11 +173,19 @@ class TwoModeState:
         tr = np.trace(rho).real
         if abs(tr - 1.0) > 1e-9:
             raise ValidationError(f"density trace must be 1, got {tr!r}")
-        vals, vecs = eigh(rho)
-        if vals[0] < -1e-10:
-            raise ValidationError(f"density has negative eigenvalue {vals[0]:.3e}")
-        keep = vals > 1e-13
-        eig = tuple(zip(vals[keep].tolist(), _freeze(vecs[:, keep].T.copy())))
+        c, piv, rank, _ = zpstrf(rho, lower=1, tol=1e-13)
+        f = np.zeros((d2, rank), dtype=complex)
+        f[piv - 1] = np.tril(c[:, :rank])
+        del c  # free it before the residual, which is built in place
+        res = f @ f.conj().T
+        res -= rho
+        resid = math.sqrt(2.0) * np.linalg.norm(res[np.tri(d2, dtype=bool)])
+        if not resid <= 1e-10:
+            low = eigh(rho, eigvals_only=True, subset_by_index=[0, 0])[0]
+            raise ValidationError(f"density has negative eigenvalue {low:.3e} "
+                                  f"(factor residual {resid:.3e})")
+        u, sig, _ = np.linalg.svd(f, full_matrices=False)
+        eig = tuple(zip((sig**2).tolist(), _freeze(u.T.copy())))
         return cls(dim, components=eig, density=_freeze(rho))
 
     # -- views ---------------------------------------------------------------
@@ -324,12 +341,14 @@ def _kernel_diagonal(s: float, dim: int) -> np.ndarray:
     return np.power((s + 1.0) / (s - 1.0), n)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite entries are refused below
 def kernel(alpha: complex, s, dim: int) -> TruncatedOperator:
     """Kernel (transiting) operator of the s-family at phase-space point alpha.
 
     t(alpha, s) = 2/(1-s) * D(alpha) ((s+1)/(s-1))^n D(alpha)+.
     At s = -1 it is the coherent projector |alpha><alpha|, at s = 0 twice
-    the displaced parity operator.
+    the displaced parity operator.  Entries that come out non-finite, e.g.
+    where a Laguerre factor overflows, raise TruncationError.
     """
     sv = _order_value(s)
     if dim < 1:
@@ -340,6 +359,8 @@ def kernel(alpha: complex, s, dim: int) -> TruncatedOperator:
         return TruncatedOperator(dim, np.diag(pref * r).astype(complex))
     d = _displacement_block(np.array([alpha]), dim, dim)[0]
     t = pref * ((d * r[None, :]) @ d.conj().T)
+    if not np.all(np.isfinite(t)):
+        raise TruncationError(f"kernel entries at |alpha|={abs(alpha):.4g} are not finite")
     return TruncatedOperator(dim, t)
 
 
@@ -357,8 +378,8 @@ def two_mode_coherent_density(beta: complex, gamma: complex, dim: int) -> TwoMod
 def state_components(state: TwoModeState) -> tuple[tuple[float, np.ndarray], ...]:
     """Mixture decomposition (weight, ket) of any state.
 
-    The stored kets, or the eigenpairs above 1e-13 that `from_density`
-    froze onto a density-backed state; every call returns the same tuple.
+    The stored kets, or the orthonormal factor columns (eigenpairs of rho
+    within 1e-10) that `from_density` froze on; every call returns the same tuple.
     """
     return state._mixture
 

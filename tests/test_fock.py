@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from polqpdf.fock import (
     state_components,
     two_mode_coherent_density,
 )
+from polqpdf.qpdf import qpdf_trace
 
 from dense_reference import expectation, transiting, transiting_restricted
 
@@ -147,6 +149,14 @@ def test_kernel_hermitian(s):
     for alpha in (0.8 + 0.3j, 2.0j, -1.7 + 0.1j):
         t = kernel(alpha, s, 50).entries
         assert np.max(np.abs(t - t.conj().T)) <= 1e-10
+
+
+def test_kernel_refuses_non_finite_elements():
+    """A displacement block that overflows is a truncation failure, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match="finite"):
+            kernel(1e20, 0.0, 12)
 
 
 def test_kernel_coherent_expectation():
@@ -310,6 +320,60 @@ def test_state_validation():
         bad[0, 0] = value
         with pytest.raises(ValidationError, match="finite"):
             TwoModeState.from_density(bad, dim)
+
+
+def test_density_acceptance_contract():
+    """A density is accepted iff its pivoted Cholesky factor reproduces it within 1e-10."""
+
+    def diag(*vals):
+        return np.diag(list(vals) + [0.0] * (36 - len(vals))).astype(complex)
+
+    TwoModeState.from_density(diag(0.5, 0.5 + 5e-11, -5e-11), 6)
+    with pytest.raises(ValidationError, match="negative eigenvalue"):
+        TwoModeState.from_density(diag(0.5, 0.5 + 2e-10, -2e-10), 6)
+
+    # a PSD rank-3 density whose upper triangle carries noise inside the
+    # Hermitian check but above 1e-10 in Frobenius norm: the factorization
+    # reads only the lower triangle, and so does the residual
+    rng = np.random.default_rng(12)
+    dim = 30
+    kets = rng.normal(size=(3, dim * dim)) + 1j * rng.normal(size=(3, dim * dim))
+    kets /= np.linalg.norm(kets, axis=1, keepdims=True)
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip((0.5, 0.3, 0.2), kets))
+    rho += np.triu(rng.uniform(-3e-13, 3e-13, rho.shape), 1)
+    assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+    assert np.linalg.norm(rho - rho.conj().T) > 1e-10
+    assert len(state_components(TwoModeState.from_density(rho, dim))) == 3
+
+    pure = two_mode_coherent_density(0.6 - 0.2j, 0.3j, dim)
+    (w, v), = state_components(TwoModeState.from_density(pure.density, dim))
+    assert abs(w - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(v, pure.components[0][1])) - 1.0) <= 1e-12
+
+    pairs = [(0.5, (0.4 + 0.3j, -0.2)), (0.3, (-0.6j, 0.5 + 0.1j)), (0.2, (0.1, 0.7j))]
+    kets = [np.kron(coherent_vector(b, dim), coherent_vector(g, dim)) for _, (b, g) in pairs]
+    rho = sum(w * np.outer(v, v.conj()) for (w, _), v in zip(pairs, kets))
+    comps = state_components(TwoModeState.from_density(rho, dim))
+    rebuilt = sum(w * np.outer(v, v.conj()) for w, v in comps)
+    assert np.max(np.abs(rebuilt - rho)) <= 1e-12
+    assert max(abs(np.linalg.norm(v) - 1.0) for _, v in comps) <= 1e-12
+
+
+def test_thermal_product_density_matches_exact_value():
+    """A full-rank density: the product thermal state, nbar = 0.3 per mode.
+
+    W_s = prod over the modes of (2/g) exp(-2|alpha|^2/g), g = 1 - s + 2 nbar;
+    the weights p^n, p = nbar/(1+nbar), are renormalized at dim 30 (tail 7e-20).
+    """
+    nbar, dim = 0.3, 30
+    w = (nbar / (1.0 + nbar)) ** np.arange(dim)
+    rho1 = np.diag(w / w.sum()).astype(complex)
+    state = TwoModeState.from_density(np.kron(rho1, rho1), dim)
+    for s in (-1.0, -0.5, 0.0):
+        g = 1.0 - s + 2.0 * nbar
+        for ax, ay in ((0j, 0j), (0.3 + 0.2j, -0.5j), (-0.7 + 0.1j, 0.4 - 0.4j)):
+            want = 4.0 / g**2 * math.exp(-2.0 * (abs(ax) ** 2 + abs(ay) ** 2) / g)
+            assert abs(qpdf_trace(state, ax, ay, s) - want) <= 1e-10
 
 
 def test_dense_density_limit():

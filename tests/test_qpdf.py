@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -132,14 +133,14 @@ def test_trace_refuses_cancellation_at_positive_s():
 
 
 @st.composite
-def _small_states(draw):
-    """A random entangled ket or a 2-3 component mixture, support below k.
+def _small_states(draw, max_parts=3):
+    """A random entangled ket or a mixture of up to max_parts, support below k.
 
     Returns (pairs, k): unit kets as k x k coefficient matrices of the
     levels n_x, n_y < k, and weights summing to 1.
     """
     k = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_parts))
     parts = st.floats(-1.0, 1.0, allow_nan=False)
     pairs = []
     for _ in range(n):
@@ -162,7 +163,7 @@ def _embedded(pairs, dim):
 
 
 # the state dim must meet required_dim at every point, and the density
-# form's eigen decomposition grows with dim^6, so the points stay small
+# form's factorization grows with dim^4, so the points stay small
 _POINT = st.one_of(
     st.just(0j),
     st.builds(complex, st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
@@ -197,6 +198,20 @@ def test_engine_matches_dense_reference(states, ax, ay, s):
     for state in (kets, dens):
         got = plane_grid_qpdf(state, s, 0.2, 3, alpha_y=ay).values
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    _small_states(max_parts=5),
+    st.builds(cmath.rect, st.floats(0.0, 0.28), st.floats(-math.pi, math.pi)),
+    st.builds(cmath.rect, st.floats(0.0, 0.28), st.floats(-math.pi, math.pi)),
+    st.sampled_from([-1.0, -0.5, 0.0]),
+)
+def test_density_route_matches_ket_route_on_mixtures(states, ax, ay, s):
+    """from_density of a mixture's density gives the mixture's own values."""
+    kets = _embedded(states[0], required_dim(0.28))
+    dens = TwoModeState.from_density(kets.density, kets.dim)
+    assert abs(qpdf_trace(dens, ax, ay, s) - qpdf_trace(kets, ax, ay, s)) <= 1e-12
 
 
 def test_trace_requires_adequate_dim():
