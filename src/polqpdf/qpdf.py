@@ -5,10 +5,11 @@ Two evaluation routes are kept deliberately separate:
 * `qpdf_coherent_closed` is the analytic product-Gaussian value for a
   two-mode coherent state, exact for all -1 <= s < 1;
 * `qpdf_trace` is the brute-force trace of the state against the
-  two-mode kernel, built from exact kernel elements <u_i| t(alpha, s) |u_j>
-  between the state's trimmed Schmidt vectors: `dim` sizes only the
-  state, never the kernel.  At s > 0 the sum alternates, and a value
-  whose estimated cancellation error exceeds 1e-10 raises `TruncationError`.
+  two-mode kernel: the state's own Fock coefficients are contracted
+  against exact Cahill-Glauber kernel elements <m| t(alpha, s) |n>, so
+  `dim` sizes only the state, never the kernel.  At s > 0 the sum
+  alternates; a value whose rounding bound exceeds 1e-10, or a state
+  with weight at its top level, raises `TruncationError`.
 
 Tests and the CLI `oracle` command compare the two; nothing in this
 module ever substitutes one for the other.
@@ -28,13 +29,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.special import i0e, logsumexp, pdtrc
+from scipy.special import gammaln
 
 from . import fock
 from .errors import TruncationError, ValidationError
-from .fock import (TwoModeState, _displacement_block, _kernel_diagonal, _order_value,
-                   required_dim)
+from .fock import TwoModeState, _laguerre_grids, _order_value, required_dim
 from .poincare import PolarizationIndex
 
 __all__ = [
@@ -57,17 +56,17 @@ __all__ = [
 ]
 
 _IMAG_TOL = 1e-9
-# Schmidt vectors are trimmed at these amplitudes, at s > 0 at _FINE_TRIM.
+# supports keep the levels whose reduced populations exceed these squared.
 # Traces are held to 1e-9, which trimming at 1e-9 only just met; the
 # normalization integral is held to 1e-4, and is 1.35-1.5x slower at 1e-12
 _TRACE_TRIM = 1e-12
 _TRIM_TOL = 1e-9
-_FINE_TRIM = 1e-15
-# at s > 0, values whose estimated cancellation error exceeds this are refused
+# at s > 0, values whose rounding bound exceeds this are refused
 _CANCEL_TOL = 1e-10
-# points per displacement block, and the cap on elements per block
-_CHUNK = 512
-_BLOCK_CAP = 1_000_000
+# kernel elements per block of points
+_BLOCK_CAP = 250_000
+# trace sweeps build their coherent pair as one dim^2 ket (144 MB at this dim)
+_SWEEP_DIM_LIMIT = 3000
 # polar rule of the sphere section integral: Gauss-Legendre radii, uniform angles
 _SPHERE_RADII = 160
 _SPHERE_ANGLES = 256
@@ -213,126 +212,123 @@ def _check_point_dim(dim: int, alpha: complex, label: str) -> None:
         )
 
 
-def _stacked_schmidt(state: TwoModeState, trim: float, sv: float):
-    """Trimmed Schmidt vectors of every component of the state, per mode.
+@np.errstate(divide="ignore")  # empty levels have log population -inf
+def _support(pops: np.ndarray, sv: float, trim: float) -> int:
+    """Levels 0..k-1 that hold every reduced population above trim^2.
 
-    Returns (ux, uy, m).  The columns of ux and uy are the Schmidt
-    vectors of all components side by side on a common trimmed support;
-    m holds w * sig_i * sig_j on each component's diagonal block, so
-    Tr[rho (A x B)] = sum_ij m_ij <ux_i|A|ux_j> <uy_i|B|uy_j>.  At s > 0
-    the kernel is unbounded and amplifies what trimming drops, so the
-    vectors are trimmed at a few ulp there.
+    At s > 0 the kernel weights level n by |r|^n, and so are the populations
+    (in logs); a state with weight at its top level dim - 1 is refused there.
     """
-    trim = trim if sv <= 0.0 else _FINE_TRIM
-    comps = fock.state_components(state)
-    mats = [np.abs(v.reshape(state.dim, state.dim)) > trim for _, v in comps]
-    rx = 1 + max(int(np.flatnonzero(k.any(axis=1)).max(initial=0)) for k in mats)
-    ry = 1 + max(int(np.flatnonzero(k.any(axis=0)).max(initial=0)) for k in mats)
-    ux, uy, blocks = [], [], []
-    for w, v in comps:
-        V = v.reshape(state.dim, state.dim)[:rx, :ry]
-        u, sig, wh = np.linalg.svd(V, full_matrices=False)
-        keep = sig > trim
-        ux.append(u[:, keep])
-        uy.append(wh[keep].T)
-        blocks.append(w * np.outer(sig[keep], sig[keep]))
-    return np.hstack(ux), np.hstack(uy), block_diag(*blocks)
-
-
-def _engine_rows(sv: float, dim_work: int) -> int:
-    """Kernel diagonal length that keeps the discarded weight < 1e-18."""
-    if sv == -1.0:
-        return 1
-    ratio = abs((sv + 1.0) / (sv - 1.0))
-    if ratio < 1.0:
-        cut = int(math.ceil(18.0 * math.log(10.0) / -math.log(ratio))) + 5
-        return min(dim_work, cut)
-    return dim_work
-
-
-@np.errstate(over="ignore", invalid="ignore")  # non-finite outputs are refused below
-def _kernel_elements(modes, sv: float, weights=None) -> list[np.ndarray]:
-    """Exact <u_i| t(alpha, s) |u_j> per point for each (vecs, points) mode.
-
-    Returns one (points, J, J) array per mode, or with quadrature weights
-    (1/pi) sum_g w_g o_g.  At s = 0, t = 2 D(2 alpha) Pi (Royer, PRA 15,
-    449, 1977) needs only support x support blocks.  Otherwise t = kappa
-    D(alpha) r^n D(alpha)^+ needs the rows of D(-alpha) u that carry
-    weight, which grow with the radius: each radius-sorted chunk sizes
-    one block, shared by all vectors, by its outermost point.
-
-    At s > 0 the sum alternates with |r| > 1; at displaced intensity lam
-    its terms add up to amp = exp((|r|-1) lam) for Poisson photon numbers.
-    With err = amp * (trim + row tail), points whose estimated error
-    kappa^N sum_i err_i prod_(j != i) amp_j over the N modes exceeds 1e-10
-    raise TruncationError before any block is built, and so do elements
-    that come out non-finite, e.g. where a Laguerre factor overflows.
-    """
-    kappa = 2.0 / (1.0 - sv)
-    modes = [(u, np.asarray(pts, dtype=complex).reshape(-1)) for u, pts in modes]
-    # working dim per point: D(-alpha) u reaches (|alpha| + sqrt(support))^2
-    work = [np.ceil((abs(p) + math.sqrt(u.shape[0]) + 2.0) ** 2) + 30 for u, p in modes]
-    if not all(np.isfinite(w).all() for w in work):
-        raise TruncationError("no Fock dim can hold these points: working dim overflows")
+    logw = np.log(pops.clip(0.0))
     if sv > 0.0:
-        ratio = (1.0 + sv) / (1.0 - sv)
-        logs = []  # (log amp, log err) per mode: in logs, nothing can overflow
-        for (vecs, points), rows in zip(modes, work):
-            # <u| D(a) n D(a)^+ |u> = nbar - 2 Re(conj(a) <u|a|u>) + |a|^2
-            n = np.arange(vecs.shape[0])
-            mean_a = np.einsum("mj,m,mj->j", vecs[:-1].conj(), np.sqrt(n[1:]), vecs[1:])
-            lam = (n @ np.abs(vecs) ** 2 - 2.0 * (points.conj()[:, None] * mean_a).real
-                   + np.abs(points[:, None]) ** 2).max(axis=1).clip(0.0)
-            la = (ratio - 1.0) * lam
-            le = la + np.log(_FINE_TRIM + pdtrc(rows - 1, ratio * lam))
-            logs.append((la, le) if weights is None else
-                        tuple(logsumexp(x, b=weights / math.pi) for x in (la, le)))
-        total = len(modes) * math.log(kappa) + sum(la for la, _ in logs)
-        terms = np.broadcast_arrays(*(total - la + le for la, le in logs))
-        digits = float(np.max(logsumexp(terms, axis=0))) / math.log(10.0)
-        r_overflows = max(w.max() for w in work) * math.log(ratio) >= 700.0
-        if r_overflows or not digits <= math.log10(_CANCEL_TOL):
-            raise TruncationError(
-                f"s={sv:g}: the alternating Fock sum cannot be held to {_CANCEL_TOL:g} "
-                f"at these points (estimated cancellation error 1e{digits:.1f})"
-            )
-    out = []
-    for (vecs, points), dim_work in zip(modes, work):
-        support, nvec = vecs.shape
-        signs = np.power(-1.0, np.arange(support))
-        order = np.argsort(np.abs(points))
-        o = np.zeros((nvec, nvec) if weights is not None else (points.size, nvec, nvec),
-                     dtype=complex)
-        lo = 0
-        while lo < points.size:
-            idx = order[lo : lo + _CHUNK]
-            rows = support if sv == 0.0 else _engine_rows(sv, int(dim_work[idx[-1]]))
-            idx = idx[: max(1, _BLOCK_CAP // (rows * support))]
-            lo += idx.size
-            xi = 2.0 * points[idx] if sv == 0.0 else -points[idx]
-            block = _displacement_block(xi, rows, support).reshape(-1, support)
-            if sv == 0.0:
-                phi = (block @ (signs[:, None] * vecs)).reshape(idx.size, rows, nvec)
-                left = vecs.conj().T
-            else:
-                phi = (block @ vecs).reshape(idx.size, rows, nvec)
-                left = phi.conj().transpose(0, 2, 1) * _kernel_diagonal(sv, rows)
-            if weights is None:
-                o[idx] = kappa * (left @ phi)
-            else:
-                o += np.tensordot(weights[idx], kappa * (left @ phi), 1) / math.pi
-        if not np.isfinite(o).all():
-            raise TruncationError("no Fock dim can hold these points: kernel elements "
-                                  "are not finite")
-        out.append(o)
+        logw += np.arange(pops.size) * math.log((1.0 + sv) / (1.0 - sv))
+    k = 1 + int(np.flatnonzero(logw > 2.0 * math.log(trim)).max(initial=0))
+    if sv > 0.0 and k == pops.size:
+        raise TruncationError(
+            f"s={sv:g}: the state keeps weight {pops[-1]:.3e} at its top level "
+            f"{k - 1}, which the kernel amplifies by |r|^n; raise dim"
+        )
+    return k
+
+
+def _coefficients(state: TwoModeState, sv: float, trim: float):
+    """The state's own Fock coefficients on its trimmed support.
+
+    Returns (coef, sx, sy, pops): coef is a list of (w, V) with V the
+    n_x x n_y coefficient matrix of each ket, or for a density rho viewed
+    as (x, y, x', y'); pops holds the populations of the levels (n_x, n_y).
+    """
+    d = state.dim
+    if state.components is not None:
+        coef = [(w, v.reshape(d, d)) for w, v in state.components]
+        pops = sum(w * np.abs(v) ** 2 for w, v in coef)
+    else:
+        coef = state.density.reshape(d, d, d, d)
+        pops = np.einsum("mnmn->mn", coef).real
+    sx = _support(pops.sum(axis=1), sv, trim)
+    sy = _support(pops.sum(axis=0), sv, trim)
+    if isinstance(coef, list):
+        return [(w, v[:sx, :sy]) for w, v in coef], sx, sy, pops
+    return coef[:sx, :sy, :sx, :sy], sx, sy, pops
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _kernel_block(points, sv: float, k: int) -> np.ndarray:
+    """<m| t(alpha, s) |n> for m, n < k at each point, shape (points, k, k).
+
+    Cahill-Glauber: for m >= n, with kappa = 2/(1-s) and r = (s+1)/(s-1),
+    kappa e^(-kappa|a|^2) sqrt(n!/m!) (kappa a)^(m-n) r^n L_n^(m-n)(4|a|^2/(1-s^2)),
+    and m < n by Hermitian conjugation, formed in logs.  At s = -1 the
+    amplitudes c of t = c c^H come back instead, shape (points, k).
+    Non-finite elements, e.g. where r^n L_n overflows, raise TruncationError.
+    """
+    a = np.asarray(points, dtype=complex).reshape(-1, 1, 1)
+    a2, loga = np.abs(a) ** 2, np.log(np.abs(a))
+    ph = np.exp(1j * np.arange(k) * np.angle(a[:, 0]))  # e^(i n arg a)
+    if sv == -1.0:
+        n = np.arange(k)
+        out = ph * np.exp(np.where(n == 0, 0.0, n * loga[:, 0]) - gammaln(n + 1.0) / 2
+                         - a2[:, 0] / 2)
+    else:
+        kappa, r = 2.0 / (1.0 - sv), (sv + 1.0) / (sv - 1.0)
+        p, dk, logratio, _ = _laguerre_grids(k, k)
+        # y[n, j] = r^n L_n^(j)(4|a|^2/(1-s^2)) by the Laguerre recurrence
+        # times r^(n+1): r x = -kappa^2 |a|^2, so nothing diverges as s -> -1
+        n, j = np.arange(k - 1)[:, None], np.arange(k)
+        c = (r * (2 * n + 1 + j) + kappa**2 * a2) / (n + 1)
+        d = r * r * (n + j) / (n + 1)
+        y = np.zeros((a.size, k, k))
+        y[:, 0] = 1.0  # y[:, -1], read as y_(-1) at n = 0, is still 0
+        for i in range(k - 1):
+            y[:, i + 1] = c[:, i] * y[:, i] - d[i] * y[:, i - 1]
+        y = y[:, p, dk]
+        logmag = (logratio + (dk + 1) * math.log(kappa) - kappa * a2
+                  + np.where(dk == 0, 0.0, dk * loga) + np.log(np.abs(y)))
+        out = np.sign(y) * np.exp(logmag) * (ph[:, :, None] * ph[:, None, :].conj())
+    if not np.isfinite(out).all():
+        raise TruncationError("kernel elements at these points are not finite")
     return out
 
 
-def _trace_points(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
-    """Tr[rho T(ax, ay, s)] per point; a single ay is shared by all points."""
-    ux, uy, m = _stacked_schmidt(state, _TRACE_TRIM, sv)
-    ox, oy = _kernel_elements(((ux, axs), (uy, ays)), sv)
-    vals = (ox * oy).reshape(-1, m.size) @ m.reshape(-1)
+def _chunks(n: int, k: int):
+    step = max(1, _BLOCK_CAP // (k * k))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _y_first(coef, ty: np.ndarray) -> np.ndarray:
+    """g[p, a, b] = sum rho[a, n, b, n'] ty[p, n', n]: the y mode contracted first."""
+    if ty.ndim == 2:  # coherent amplitudes: t = c c^H
+        ty = ty[:, :, None] * ty[:, None, :].conj()
+    if isinstance(coef, list):
+        return sum(w * (v @ ty.swapaxes(1, 2) @ v.conj().T) for w, v in coef)
+    return np.tensordot(ty, coef, axes=([1, 2], [3, 1]))
+
+
+def _x_dot(g: np.ndarray, tx: np.ndarray) -> np.ndarray:
+    """sum g[p, a, b] tx[p, b, a] per x point; one g may serve all points."""
+    if tx.ndim == 2:  # coherent amplitudes: t = c c^H
+        return np.einsum("pa,pa->p", (tx.conj()[:, None] @ g)[:, 0], tx)
+    return (tx.reshape(len(tx), 1, -1) @ g.swapaxes(1, 2).reshape(len(g), -1, 1))[:, 0, 0]
+
+
+def _contract(coef, tx, ty, sv: float, mags=None) -> np.ndarray:
+    """Tr[rho (tx (x) ty)] per point, real part.
+
+    At s > 0 the same contraction of |rho| against the magnitudes mags
+    (default |tx|, |ty|) bounds the rounding: a value it cannot hold to
+    1e-10 raises TruncationError.  The imaginary residue must stay below 1e-9.
+    """
+    vals = _x_dot(_y_first(coef, ty), tx)
+    if sv > 0.0:
+        mx, my = (np.abs(tx), np.abs(ty)) if mags is None else mags
+        acoef = [(w, np.abs(v)) for w, v in coef] if isinstance(coef, list) else np.abs(coef)
+        size = np.max(_x_dot(_y_first(acoef, my), mx).real)
+        err = np.finfo(float).eps * (tx.shape[-1] + ty.shape[-1]) * size
+        if not err <= _CANCEL_TOL:
+            raise TruncationError(
+                f"s={sv:g}: the alternating Fock sum cannot be held to {_CANCEL_TOL:g} "
+                f"at these points (cancellation error up to {err:.1e})"
+            )
     worst = float(np.max(np.abs(vals.imag)))
     if worst > _IMAG_TOL:
         raise ValidationError(
@@ -341,14 +337,26 @@ def _trace_points(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
     return vals.real
 
 
+def _trace_points(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
+    """Tr[rho T(ax, ay, s)] per point; a single ay is shared by all points."""
+    coef, sx, sy, _ = _coefficients(state, sv, _TRACE_TRIM)
+    axs, ays = (np.asarray(z, dtype=complex).reshape(-1) for z in (axs, ays))
+    out = []
+    for idx in _chunks(axs.size, max(sx, sy)):
+        ty = _kernel_block(ays if ays.size == 1 else ays[idx], sv, sy)
+        out.append(_contract(coef, _kernel_block(axs[idx], sv, sx), ty, sv))
+    return np.concatenate(out)
+
+
 def qpdf_trace(state: TwoModeState, alpha_x: complex, alpha_y: complex, s) -> float:
     """Tr[rho T(alpha_x, alpha_y, s)] for a state in a truncated Fock space.
 
-    Built from exact kernel elements between the state's Schmidt vectors
-    (trimmed at 1e-12), so `dim` sizes only the state; it must still meet
-    the truncation rule for both moduli.  The imaginary residue must stay
-    below 1e-9; the real part is returned.  At s > 0 a value whose
-    estimated cancellation error exceeds 1e-10 raises `TruncationError`.
+    Contracts the state's Fock coefficients on the levels whose reduced
+    populations exceed 1e-24 against exact kernel elements, so `dim`
+    sizes only the state; it must still meet the truncation rule for both
+    moduli.  The imaginary residue must stay below 1e-9.  At s > 0 a state
+    with weight at its top level, or a value whose rounding bound exceeds
+    1e-10, raises `TruncationError`.
     """
     sv = _order_value(s)
     ax, ay = complex(alpha_x), complex(alpha_y)
@@ -360,11 +368,8 @@ def qpdf_trace(state: TwoModeState, alpha_x: complex, alpha_y: complex, s) -> fl
 def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
     """Single-mode W(alpha, s) = Tr[rho t(alpha, s)] for a dense rho.
 
-    Sums rho_ji <i| t(alpha, s) |j> over the leading k x k block of rho
-    with the kernel elements and s > 0 refusal of the `qpdf_trace` engine.
-    The entries left out, priced at kappa |rho_ij| sqrt(A_i A_j), sum to 1e-10
-    at most, where A_n = <n| D(alpha) |r|^N D(alpha)^+ |n> is at most 1 for s <= 0, and
-    for z = |r| > 1 at most e^((z-1)|alpha|^2) z^n I_0(2 sqrt(n (z-1)^2 |alpha|^2 / z)).
+    The one-mode case of the `qpdf_trace` contraction, with its support
+    rule (populations above 1e-24, weighted by |r|^n at s > 0) and refusals.
     """
     sv = _order_value(s)
     rho = np.asarray(rho, dtype=complex)
@@ -373,22 +378,9 @@ def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
     if not np.all(np.isfinite(rho)):
         raise ValidationError("rho entries must be finite")
     _check_point_dim(rho.shape[0], complex(alpha), "alpha")
-    n, a2 = np.arange(rho.shape[0]), abs(complex(alpha)) ** 2
-    log_a = np.zeros(n.size)
-    if sv > 0.0:
-        z = (1.0 + sv) / (1.0 - sv)
-        y = 2.0 * np.sqrt(n * a2 * (z - 1.0) ** 2 / z)
-        log_a = (z - 1.0) * a2 + n * math.log(z) + np.log(i0e(y)) + y
-    mag = np.abs(rho)  # price / 1e-10 in logs, summed over shells n = max(i, j)
-    price = np.log(mag, out=np.full(mag.shape, -np.inf), where=mag > 0.0)
-    price += (log_a[:, None] + log_a) / 2.0 - math.log(_CANCEL_TOL * (1.0 - sv) / 2.0)
-    shells = np.bincount(np.maximum.outer(n, n).ravel(), np.exp(price.clip(max=600.0)).ravel())
-    k = max(1, int(np.count_nonzero(np.cumsum(shells[::-1]) > 1.0)))
-    (o,) = _kernel_elements([(np.eye(k), [complex(alpha)])], sv)
-    val = complex(np.sum(rho[:k, :k].T * o[0]))
-    if abs(val.imag) > _IMAG_TOL:
-        raise ValidationError(f"trace has imaginary residue {val.imag:.3e}")
-    return val.real
+    k = _support(np.diagonal(rho).real, sv, _TRACE_TRIM)
+    coef = rho[:k, None, :k, None]
+    return float(_contract(coef, _kernel_block([alpha], sv, k), np.ones((1, 1, 1)), sv)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +396,14 @@ def _sweep(kind: AxisKind, axis, axs, beta, q, p, sv, method) -> QpdfGrid:
     if method is Method.CLOSED_FORM:
         vals = qpdf_coherent_closed(bv, gamma, axs, ays, sv)
     else:
-        # the kernel shifts the state by the sweep point, so size the
-        # space for the displaced moduli |alpha| + |amplitude| per mode
-        mx, my = float(np.max(np.abs(axs))), float(np.max(np.abs(ays)))
-        dim_used = max(required_dim(mx + abs(bv)), required_dim(my + abs(gamma)))
+        # size for the displaced moduli |alpha| + |amplitude| per mode, grown
+        # by sqrt|r| at s > 0, where the kernel weights level n by |r|^n
+        grow = max(1.0, math.sqrt(abs((1.0 + sv) / (1.0 - sv))))
+        dim_used = required_dim(grow * max(float(np.max(np.abs(axs))) + abs(bv),
+                                           float(np.max(np.abs(ays))) + abs(gamma)))
+        if dim_used > _SWEEP_DIM_LIMIT:
+            raise TruncationError(f"s={sv:g}: this trace sweep needs dim={dim_used}, above "
+                                  f"the limit {_SWEEP_DIM_LIMIT} of its dim^2 ket")
         state = fock.two_mode_coherent_density(bv, gamma, dim_used)
         vals = _trace_points(state, axs, ays, sv)
     return QpdfGrid(kind, axis, vals, GridMeta(sv, pv, qv, bv, dim_used, method))
@@ -504,30 +500,42 @@ def _plane_nodes(quad: PlaneQuadrature) -> tuple[np.ndarray, np.ndarray]:
     return (re + 1j * im).reshape(-1), ww.reshape(-1)
 
 
+def _kernel_sums(nodes, weights, sv: float, k: int):
+    """(1/pi) sum_g w_g t(alpha_g, s) as a (1, k, k) block, and at s > 0
+    the same sum of |t|, which bounds its rounding (zeros otherwise)."""
+    tot, mag = np.zeros((k, k), dtype=complex), np.zeros((k, k))
+    for idx in _chunks(nodes.size, k):
+        t, w = _kernel_block(nodes[idx], sv, k), weights[idx] / math.pi
+        if t.ndim == 2:
+            tot += (t.T * w) @ t.conj()
+        else:
+            tot += np.tensordot(w, t, 1)
+            if sv > 0.0:
+                mag += np.tensordot(w, np.abs(t), 1)
+    return tot[None], mag[None]
+
+
 def normalization_check(
     state: TwoModeState, s, quadrature: PlaneQuadrature = PlaneQuadrature()
 ) -> NormalizationResult:
     """Check (1/pi per mode) * integral of W over the quadrature box.
 
     Returns the full 4-D integral estimate together with the two
-    single-mode integrals of the reduced states.  For product states the
-    total is exactly the product of the mode integrals (the tensor
-    quadrature factorizes); entangled states are handled through the
-    Schmidt decomposition of each component.  A box smaller than
-    (max amplitude + 5) is flagged, not fatal.  At s > 0 the integral is
-    refused like `qpdf_trace` values, with `TruncationError`.
+    single-mode integrals of the reduced states, from the `qpdf_trace`
+    contraction against quadrature-weighted kernel blocks (the identity on
+    the other mode for a mode integral).  A box smaller than
+    (max amplitude + 5) is flagged, not fatal.  At s > 0 the integrals
+    are refused like `qpdf_trace` values, with `TruncationError`.
     """
     sv = _order_value(s)
     nodes, weights = _plane_nodes(quadrature)
-    ux, uy, m = _stacked_schmidt(state, _TRIM_TOL, sv)
-    ox, oy = _kernel_elements(((ux, nodes), (uy, nodes)), sv, weights)
-    # the Schmidt vectors of one component are orthonormal, so the mode
-    # integrals see only the diagonal sig^2 weights
-    pops = np.diag(m)
-    total = float(np.sum(m * ox * oy).real)
-    mode_x = float(pops @ np.diag(ox).real)
-    mode_y = float(pops @ np.diag(oy).real)
-    nbar = max(float(pops @ (np.arange(u.shape[0]) @ np.abs(u) ** 2)) for u in (ux, uy))
+    coef, sx, sy, pops = _coefficients(state, sv, _TRIM_TOL)
+    (wx, ax), (wy, ay) = (_kernel_sums(nodes, weights, sv, k) for k in (sx, sy))
+    ix, iy = np.eye(sx)[None], np.eye(sy)[None]
+    total = float(_contract(coef, wx, wy, sv, mags=(ax, ay))[0])
+    mode_x = float(_contract(coef, wx, iy, sv, mags=(ax, iy))[0])
+    mode_y = float(_contract(coef, ix, wy, sv, mags=(ix, ay))[0])
+    nbar = max(float(np.arange(p.size) @ p) for p in (pops.sum(axis=1), pops.sum(axis=0)))
     recommended = math.sqrt(nbar) + 5.0
     warnings: tuple[str, ...] = ()
     if quadrature.half_width < recommended:

@@ -1,9 +1,10 @@
 """Dense two-mode kron reference for tests.
 
-The library contracts states against the kernel through exact kernel
-elements between Schmidt vectors; these helpers build the full
-dim^2 x dim^2 operator t(alpha_x, s) (x) t(alpha_y, s) instead, so the
-tests can compare the two routes.  Index convention: n_x * dim + n_y.
+The library contracts the state's Fock coefficients against exact
+Cahill-Glauber kernel elements; these helpers build the full
+dim^2 x dim^2 operator t(alpha_x, s) (x) t(alpha_y, s) from D r^n D^+
+instead, so the tests can compare the two routes.  Index convention:
+n_x * dim + n_y.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,25 @@ def test_sweep_command_modulus_trace(tmp_path):
     assert grid.meta.dim_used is not None
 
 
+def test_large_trace_sweeps_are_refused_before_building(capsys):
+    # near s = 1 the s-aware sizing asks for dim ~15900 (a 4 GB ket), and
+    # beta = 60 for dim 4106 at any s: refused before anything that size exists
+    tracemalloc.start()
+    try:
+        for argv in (
+            ["sweep", "--beta", "0.5,0.5", "--p", "0.3,-0.4", "--q", "0.2",
+             "--phase", "0", "--s", "0.99", "--method", "trace_oracle"],
+            ["sweep", "--beta=60,0", "--p=0.1", "--q=0.1", "--modulus=1",
+             "--method=trace_oracle"],
+        ):
+            assert main(argv) == 3
+            assert "above the limit 3000" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
 def test_sweep_requires_exactly_one_axis():
     with pytest.raises(SystemExit):
         main(["sweep", "--beta", "1", "--p", "1", "--q", "1"])
@@ -208,11 +228,14 @@ def test_oracle_defaults_pass(capsys):
 
 
 def test_oracle_truncation_exit(capsys):
-    # normcheck at s > 0 is refused: the alternating Fock sum cancels;
+    # normcheck at s = 0.3 holds its states to 1e-4, at 40 nodes per axis
+    assert main(["normcheck", "--s", "0.3", "--points", "40"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    assert all(float(d) <= 1e-4 for d in re.findall(r"max_dev=(\S+)", out))
     # no Fock dim holds moduli or boxes whose squares overflow a float
     for argv in (
         ["oracle", "--dim", "10"],
-        ["normcheck", "--s", "0.3"],
         ["sweep", "--beta=1e200,0", "--p=0.1", "--q=0.1", "--modulus=1",
          "--method=trace_oracle"],
         ["normcheck", "--points=2", "--half-width=1e200"],

@@ -1,5 +1,7 @@
 import cmath
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from polqpdf.qpdf import (
     Method,
     PlaneQuadrature,
     QpdfGrid,
+    _kernel_block,
     normalization_check,
     plane_grid_qpdf,
     poincare_sphere_qpdf,
@@ -97,6 +100,41 @@ def test_peak_phase_minimizes_displacement():
 # trace route
 # ---------------------------------------------------------------------------
 
+def _kernel_finite_sum(a, s, k):
+    """<m|t(a, s)|n> with r^n L_n^(m-n) as an exact rational sum.
+
+    r^n L_n^(m-n)(4|a|^2/(1-s^2)) = sum_j C(m, n-j) r^(n-j) (kappa^2 |a|^2)^j / j!
+    is rational in the binary values of s and a, so only the prefactor
+    kappa e^(-kappa|a|^2) sqrt(n!/m!) (kappa a)^(m-n) is rounded.
+    """
+    sf, a2 = Fraction(s), Fraction(a.real) ** 2 + Fraction(a.imag) ** 2
+    kappa, r = 2 / (1 - sf), (sf + 1) / (sf - 1)
+    rp = [r**i for i in range(k)]
+    up = [(kappa**2 * a2) ** j / math.factorial(j) for j in range(k)]
+    out = np.zeros((k, k), dtype=complex)
+    for m in range(k):
+        for n in range(m + 1):
+            tot = sum(math.comb(m, n - j) * rp[n - j] * up[j] for j in range(n + 1))
+            log = (math.log(kappa) - float(kappa * a2)
+                   + (m - n) * math.log(float(kappa) * abs(a))
+                   + (math.lgamma(n + 1) - math.lgamma(m + 1)) / 2)
+            out[m, n] = float(tot) * cmath.exp(log + 1j * (m - n) * cmath.phase(a))
+            out[n, m] = out[m, n].conjugate()
+    return out
+
+
+def test_kernel_block_matches_exact_finite_sum():
+    # independent of eval_genlaguerre; near s = -1 the Laguerre argument
+    # diverges while r -> 0, at s = 0.9 the elements reach 1e21
+    for s in (-0.999, -0.5, 0.0, 0.3, 0.5, 0.7, 0.9):
+        want = _kernel_finite_sum(1.3 - 0.7j, s, 25)
+        got = _kernel_block([1.3 - 0.7j], s, 25)[0]
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # at s = -1 the block is the coherent projector, returned as its amplitudes
+    c = _kernel_block([1.3 - 0.7j], -1.0, 25)[0]
+    assert np.allclose(c, coherent_vector(1.3 - 0.7j, 60)[:25], rtol=0.0, atol=1e-15)
+
+
 def test_trace_matches_closed_form():
     rng = np.random.default_rng(302)
     for i in range(30):
@@ -119,17 +157,113 @@ def test_trace_density_route_matches_ket_route():
 
 
 def test_trace_refuses_cancellation_at_positive_s():
-    # the Fock sum alternates at s > 0; at (2, -i) the closed form is
-    # 2.4e-26 at s = 0.9, where an unchecked sum returned 2.7e34
+    # the Fock sum alternates at s > 0; here the closed form is 0.32 and
+    # the terms reach 1e7, more than a 1e-10 rounding bound allows
+    state = two_mode_coherent_density(3.0, 0j, 120)
+    with pytest.raises(TruncationError, match="cancellation"):
+        qpdf_trace(state, 1.0, 0j, 0.3)
     state = two_mode_coherent_density(1.0, 0.5j, 60)
-    for s in (0.9, 0.99):
-        with pytest.raises(TruncationError, match="cancellation"):
-            qpdf_trace(state, 2.0, -1j, s)
     for s in (0.3, 0.5):
         want = qpdf_coherent_closed(1.0, 0.5j, 2.0, -1j, s)
         assert abs(qpdf_trace(state, 2.0, -1j, s) - want) <= 1e-9
-    with pytest.raises(TruncationError, match="cancellation"):
-        normalization_check(state, 0.3, PlaneQuadrature(40, 6.0))
+    res = normalization_check(state, 0.3, PlaneQuadrature(40, 6.0))
+    assert abs(res.total - 0.9999983523876) <= 1e-9
+    assert res.recommended_half_width == pytest.approx(6.0, abs=1e-9)
+
+
+def test_trace_refuses_weight_at_the_top_level_at_positive_s():
+    # at (2, -i) the closed form is 2.4e-26 at s = 0.9, where an unchecked
+    # sum returned 2.7e34: |r|^59 amplifies what dim 60 cut off
+    state = two_mode_coherent_density(1.0, 0.5j, 60)
+    for s in (0.9, 0.99):
+        with pytest.raises(TruncationError, match="top level 59"):
+            qpdf_trace(state, 2.0, -1j, s)
+    with pytest.raises(TruncationError, match="top level"):
+        normalization_check(state, 0.9, PlaneQuadrature(40, 6.0))
+
+
+def test_positive_s_values_the_row_sums_got_wrong():
+    # the displaced row sums scaled their rounding by |r|^rows: -8.0e6 here
+    state = two_mode_coherent_density(0.5, 0j, 60)
+    assert abs(qpdf_trace(state, 1.0, 0j, 0.9) - 2.6951787996341854) <= 1e-9
+    # and 1.8076e-6 with no error, where the closed form is 1.8006e-6
+    state = two_mode_coherent_density(2j, 0j, 60)
+    want = qpdf_coherent_closed(2j, 0j, 0j, 0j, 0.5)
+    try:
+        assert abs(qpdf_trace(state, 0j, 0j, 0.5) - want) <= 1e-9
+    except TruncationError:
+        pass
+
+
+def _thermal(nbar, dim):
+    w = (nbar / (1.0 + nbar)) ** np.arange(dim)
+    return np.diag(w / w.sum()).astype(complex)
+
+
+def test_rotated_thermal_density_matches_dense_reference():
+    """A full-rank density with no product structure, against the kron kernel.
+
+    The stacked Schmidt vectors of such a state needed a 20 GiB block at
+    dim 30; the engine contracts rho itself.  rho lives on 12 levels per
+    mode and is embedded at a larger dim, where the truncated kron kernel
+    rows it reaches are converged.
+    """
+    dim, big = 12, 28
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(dim * dim, 2 * dim * dim)).view(complex)
+    u = np.linalg.qr(z)[0]
+    th = _thermal(0.3, dim)
+    rho = u @ np.kron(th, th) @ u.conj().T
+    padded = np.zeros((big,) * 4, dtype=complex)
+    padded[:dim, :dim, :dim, :dim] = rho.reshape((dim,) * 4)
+    padded = padded.reshape(big * big, big * big)
+    state = TwoModeState.from_density((padded + padded.conj().T) / 2.0, big)
+    for s in (-1.0, -0.5, 0.0):
+        for ax, ay in ((0j, 0j), (0.2 - 0.1j, 0.15j), (-0.1 + 0.25j, -0.2)):
+            want = expectation(state, transiting(ax, ay, s, big)).real
+            assert abs(qpdf_trace(state, ax, ay, s) - want) <= 1e-12
+
+
+def test_displaced_thermal_plane_is_fast_and_exact():
+    # 3175 stacked Schmidt vectors made this 4 x 4 plane take 2.9 s
+    nbar, dim, s = 0.3, 30, -0.5
+    amps = (0.8 + 0.3j, -0.5j)
+    modes = []
+    for b in amps:
+        d = fock._displacement_block(np.array([b]), dim, dim)[0]
+        modes.append(d @ _thermal(nbar, dim) @ d.conj().T)
+    rho = np.kron(*modes)
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    state = TwoModeState.from_density(rho, dim)
+    start = time.perf_counter()
+    grid = plane_grid_qpdf(state, s, 1.0, 4, alpha_y=0.2j)
+    assert time.perf_counter() - start < 1.0
+    axis = grid.axis_values
+    pts = np.array([complex(a, b) for a in axis for b in axis])
+    g = 1.0 - s + 2.0 * nbar
+    want = 4.0 / g**2 * np.exp(-2.0 * (abs(pts - amps[0]) ** 2
+                                       + abs(0.2j - amps[1]) ** 2) / g)
+    assert np.max(np.abs(grid.values - want)) <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.builds(cmath.rect, st.floats(0.0, 1.5), st.floats(-math.pi, math.pi)),
+    st.builds(cmath.rect, st.floats(0.0, 1.5), st.floats(-math.pi, math.pi)),
+    st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(-math.pi, math.pi)),
+    st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(-math.pi, math.pi)),
+    st.floats(-1.0, 0.95),
+)
+def test_trace_matches_closed_form_wherever_it_answers(beta, gamma, ax, ay, s):
+    """Sized for s, a coherent pair's trace is right or refused as truncation."""
+    grow = max(1.0, math.sqrt(abs((1.0 + s) / (1.0 - s))))
+    dim = required_dim(grow * max(abs(beta) + abs(ax), abs(gamma) + abs(ay)))
+    state = two_mode_coherent_density(beta, gamma, dim)
+    try:
+        got = qpdf_trace(state, ax, ay, s)
+    except TruncationError:
+        return
+    assert abs(got - qpdf_coherent_closed(beta, gamma, ax, ay, s)) <= 1e-9
 
 
 @st.composite
@@ -237,11 +371,14 @@ def test_trace_single_mode():
         kappa = 2.0 / (1.0 - s)
         want = kappa * math.exp(-kappa * abs(0.4 + 0.3j - 0.5) ** 2)
         assert abs(qpdf_trace_single(rho, 0.4 + 0.3j, s) - want) <= 1e-9
-    # closed forms 1.0e-53 and 5.6e-11: the alternating Fock sum cannot
-    # hold them to 1e-10 (a dense contraction returned -4.7e40 and -2.1e-7)
-    for s in (0.9, 0.5):
-        with pytest.raises(TruncationError, match="cancellation"):
-            qpdf_trace_single(rho, 3.0, s)
+    # closed forms 1.0e-53 and 5.6e-11, where a dense contraction returned
+    # -4.7e40 and -2.1e-7 and the row sums refused both
+    for s, rel in ((0.9, 1e-2), (0.5, 1e-6)):
+        kappa = 2.0 / (1.0 - s)
+        want = kappa * math.exp(-kappa * 2.5**2)
+        got = qpdf_trace_single(rho, 3.0, s)
+        assert abs(got - want) <= 1e-9
+        assert got == pytest.approx(want, rel=rel)
     # a thin tail at |40> that the kernel weights by r^40: trimming it away
     # returned 4.0 at s = 0.5, where the value is 2.4e7
     thin = np.diag(np.r_[1.0 - 5e-13, np.zeros(39), 5e-13, np.zeros(19)])
@@ -290,6 +427,17 @@ def test_sweep_methods_agree_on_constant_state():
     rule = max(required_dim(mx + abs(beta)), required_dim(my + abs(p * beta)))
     assert b.meta.dim_used == rule
     assert np.max(np.abs(a.values - b.values)) <= 1e-8
+
+
+def test_trace_sweep_is_sized_for_positive_s():
+    # |r| > 1 weights level n by |r|^n, so the coherent pair needs
+    # sqrt(|r|) times the displaced modulus; sized without it, this refused
+    grid = sweep_phase(0.87, 0.3 + 0.1j, 0.5 + 0.2j, 5.0, 0.35, n_points=16,
+                       method=Method.TRACE_ORACLE)
+    assert grid.meta.dim_used == 142
+    axs = 5.0 * np.exp(1j * grid.axis_values)
+    want = qpdf_coherent_closed(0.87, 0.87 * (0.3 + 0.1j), axs, (0.5 + 0.2j) * axs, 0.35)
+    assert np.max(np.abs(grid.values - want)) <= 1e-9
 
 
 def test_sweep_modulus_axis_and_decay():
