@@ -2,8 +2,8 @@
 
 The package is organized around four layers:
 
-* `poincare`: polarization bookkeeping, Poincare-sphere angles, Jones
-  vectors, bases, and the complex polarization index p;
+* `poincare`: polarization bookkeeping, Poincare-sphere angles and the
+  complex polarization index p;
 * `fock`: truncated Fock-space vectors, the s-ordered kernel family,
   two-mode states;
 * `qpdf`: distribution values via the analytic coherent closed form
@@ -35,21 +35,16 @@ from .fock import (
     coherent_vector,
     fock_vector,
     kernel,
-    reduced_modes,
     required_dim,
     state_components,
     two_mode_coherent_density,
 )
 from .poincare import (
-    BasisPair,
-    JonesVector,
     PoincareParams,
     PolarizationIndex,
     amplitudes_to_poincare,
     index_of_polarization,
-    iop_in_basis,
     poincare_to_amplitudes,
-    transform_amplitudes,
 )
 from .qpdf import (
     AxisKind,
@@ -62,7 +57,6 @@ from .qpdf import (
     plane_grid_qpdf,
     poincare_sphere_qpdf,
     qpdf_coherent_closed,
-    qpdf_polarization_section,
     qpdf_trace,
     qpdf_trace_single,
     sweep_modulus,

@@ -42,7 +42,6 @@ __all__ = [
     "kernel",
     "two_mode_coherent_density",
     "state_components",
-    "reduced_modes",
 ]
 
 _TAIL_TOL = 1e-12
@@ -382,15 +381,3 @@ def state_components(state: TwoModeState) -> tuple[tuple[float, np.ndarray], ...
     within 1e-10) that `from_density` froze on; every call returns the same tuple.
     """
     return state._mixture
-
-
-def reduced_modes(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
-    """Partial traces (rho_x, rho_y) as dense dim x dim matrices."""
-    d = state.dim
-    rho_x = np.zeros((d, d), dtype=complex)
-    rho_y = np.zeros((d, d), dtype=complex)
-    for w, v in state_components(state):
-        m = v.reshape(d, d)
-        rho_x += w * (m @ m.conj().T)
-        rho_y += w * (m.T @ m.conj())
-    return rho_x, rho_y

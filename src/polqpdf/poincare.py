@@ -25,16 +25,11 @@ from .errors import DegenerateInputError, PoleError, ValidationError
 __all__ = [
     "PoincareParams",
     "PolarizationIndex",
-    "JonesVector",
-    "BasisPair",
     "poincare_to_amplitudes",
     "amplitudes_to_poincare",
     "index_of_polarization",
-    "iop_in_basis",
-    "transform_amplitudes",
 ]
 
-_ORTHO_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
 
@@ -112,70 +107,6 @@ class PolarizationIndex:
         return self.value
 
 
-@dataclass(frozen=True)
-class JonesVector:
-    """Unit-norm polarization direction (e_x, e_y)."""
-
-    e_x: complex
-    e_y: complex
-
-    def __post_init__(self) -> None:
-        norm = abs(self.e_x) ** 2 + abs(self.e_y) ** 2
-        if abs(norm - 1.0) > _ORTHO_TOL:
-            raise ValidationError(
-                f"Jones vector must have unit norm, |e|^2 = {norm!r}"
-            )
-
-    @classmethod
-    def from_angles(cls, chi0: float, delta0: float) -> "JonesVector":
-        """Direction of the amplitude pair with the given sphere angles.
-
-        The mean phase is split symmetrically between the components,
-        exp(-i*delta0/2) on x and exp(+i*delta0/2) on y, so that
-        e_y/e_x = tan(chi0/2)*exp(i*delta0).
-        """
-        if not 0.0 <= chi0 <= math.pi:
-            raise ValidationError(f"chi0 must lie in [0, pi], got {chi0}")
-        half = chi0 / 2.0
-        return cls(
-            math.cos(half) * cmath.exp(-0.5j * delta0),
-            math.sin(half) * cmath.exp(0.5j * delta0),
-        )
-
-    def orthogonal(self) -> "JonesVector":
-        """The unique (up to phase) direction orthogonal to this one."""
-        return JonesVector(-self.e_y.conjugate(), self.e_x.conjugate())
-
-
-@dataclass(frozen=True)
-class BasisPair:
-    """An orthonormal pair of Jones vectors (analysis basis)."""
-
-    first: JonesVector
-    second: JonesVector
-
-    def __post_init__(self) -> None:
-        ip = (
-            self.first.e_x.conjugate() * self.second.e_x
-            + self.first.e_y.conjugate() * self.second.e_y
-        )
-        if abs(ip) > _ORTHO_TOL:
-            raise ValidationError(f"basis vectors are not orthogonal, <1|2> = {ip!r}")
-
-    @classmethod
-    def linear(cls) -> "BasisPair":
-        return cls(JonesVector(1.0 + 0j, 0j), JonesVector(0j, 1.0 + 0j))
-
-    @classmethod
-    def circular(cls) -> "BasisPair":
-        r = 1.0 / math.sqrt(2.0)
-        return cls(JonesVector(r, 1j * r), JonesVector(r, -1j * r))
-
-    @classmethod
-    def from_direction(cls, e0: JonesVector) -> "BasisPair":
-        return cls(e0, e0.orthogonal())
-
-
 def poincare_to_amplitudes(params: PoincareParams) -> tuple[complex, complex]:
     """Mode amplitudes (a_x, a_y) for the given sphere coordinates."""
     half = params.chi0 / 2.0
@@ -213,30 +144,3 @@ def index_of_polarization(a_x: complex, a_y: complex) -> PolarizationIndex:
     if a_x == 0:
         raise PoleError("a_x = 0: index of polarization has a pole")
     return PolarizationIndex(complex(a_y) / complex(a_x))
-
-
-def transform_amplitudes(
-    a_x: complex, a_y: complex, basis: BasisPair
-) -> tuple[complex, complex]:
-    """Project an amplitude pair onto an orthonormal analysis basis.
-
-    Returns (<e1, a>, <e2, a>) with the conjugation on the basis side,
-    so intensities satisfy |out1|^2 + |out2|^2 = |a_x|^2 + |a_y|^2.
-    """
-    e1, e2 = basis.first, basis.second
-    return (
-        e1.e_x.conjugate() * a_x + e1.e_y.conjugate() * a_y,
-        e2.e_x.conjugate() * a_x + e2.e_y.conjugate() * a_y,
-    )
-
-
-def iop_in_basis(e0: JonesVector, basis: BasisPair) -> complex:
-    """Index of polarization of the direction e0 seen in another basis.
-
-    The ratio <e2, e0> / <e1, e0>; reduces to tan(chi0/2)*exp(i*delta0)
-    in the linear basis and to 0 in the basis built from e0 itself.
-    """
-    along, across = transform_amplitudes(e0.e_x, e0.e_y, basis)
-    if along == 0:
-        raise PoleError("direction is orthogonal to the first basis vector")
-    return across / along

@@ -47,7 +47,6 @@ __all__ = [
     "qpdf_trace",
     "qpdf_trace_single",
     "qpdf_coherent_closed",
-    "qpdf_polarization_section",
     "sweep_phase",
     "sweep_modulus",
     "plane_grid_qpdf",
@@ -188,29 +187,9 @@ def qpdf_coherent_closed(beta: complex, gamma: complex, alpha_x, alpha_y, s):
     return val
 
 
-def qpdf_polarization_section(beta: complex, q, p, alpha_x, s):
-    """Closed-form distribution on the section alpha_y = p * alpha_x.
-
-    The state is the coherent pair (beta, q*beta); p fixes the slice of
-    the four-dimensional phase space that is scanned.
-    """
-    pv = complex(p)
-    qv = complex(q)
-    ax = np.asarray(alpha_x, dtype=complex)
-    return qpdf_coherent_closed(beta, qv * complex(beta), ax, pv * ax, s)
-
-
 # ---------------------------------------------------------------------------
 # brute-force traces
 # ---------------------------------------------------------------------------
-
-def _check_point_dim(dim: int, alpha: complex, label: str) -> None:
-    need = required_dim(abs(alpha))
-    if dim < need:
-        raise TruncationError(
-            f"dim={dim} is too small for |{label}|={abs(alpha):.4g}; need >= {need}"
-        )
-
 
 @np.errstate(divide="ignore")  # empty levels have log population -inf
 def _support(pops: np.ndarray, sv: float, trim: float) -> int:
@@ -353,16 +332,13 @@ def qpdf_trace(state: TwoModeState, alpha_x: complex, alpha_y: complex, s) -> fl
 
     Contracts the state's Fock coefficients on the levels whose reduced
     populations exceed 1e-24 against exact kernel elements, so `dim`
-    sizes only the state; it must still meet the truncation rule for both
-    moduli.  The imaginary residue must stay below 1e-9.  At s > 0 a state
+    sizes only the state, and a zero-padded copy gives the same value at
+    any point.  The imaginary residue must stay below 1e-9.  At s > 0 a state
     with weight at its top level, or a value whose rounding bound exceeds
     1e-10, raises `TruncationError`.
     """
     sv = _order_value(s)
-    ax, ay = complex(alpha_x), complex(alpha_y)
-    _check_point_dim(state.dim, ax, "alpha_x")
-    _check_point_dim(state.dim, ay, "alpha_y")
-    return float(_trace_points(state, [ax], [ay], sv)[0])
+    return float(_trace_points(state, [complex(alpha_x)], [complex(alpha_y)], sv)[0])
 
 
 def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
@@ -377,7 +353,6 @@ def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
         raise ValidationError(f"rho must be square, got {rho.shape}")
     if not np.all(np.isfinite(rho)):
         raise ValidationError("rho entries must be finite")
-    _check_point_dim(rho.shape[0], complex(alpha), "alpha")
     k = _support(np.diagonal(rho).real, sv, _TRACE_TRIM)
     coef = rho[:k, None, :k, None]
     return float(_contract(coef, _kernel_block([alpha], sv, k), np.ones((1, 1, 1)), sv)[0])
@@ -469,8 +444,6 @@ def plane_grid_qpdf(
     axis = np.linspace(-float(half_width), float(half_width), n_points)
     re, im = np.meshgrid(axis, axis, indexing="ij")
     pts = (re + 1j * im).reshape(-1)
-    _check_point_dim(state.dim, complex(abs(pts).max()), "alpha_x")
-    _check_point_dim(state.dim, complex(alpha_y), "alpha_y")
     vals = _trace_points(state, pts, [complex(alpha_y)], sv)
     meta = GridMeta(sv, 0j, 0j, complex(alpha_y), state.dim, Method.TRACE_ORACLE)
     return QpdfGrid(AxisKind.PLANE, axis, vals, meta)
@@ -563,7 +536,8 @@ def poincare_sphere_qpdf(
     p_direction: tuple[float, float],
     s,
 ) -> float:
-    """Integral of the closed-form section over the alpha_x plane.
+    """Integral over the alpha_x plane of the closed form of |beta, q*beta>
+    on the section alpha_y = p * alpha_x.
 
     p_direction = (chi0, delta0) fixes p = tan(chi0/2) exp(i delta0); the
     measure is the plane one written in polar form,
@@ -585,5 +559,5 @@ def poincare_sphere_qpdf(
     th = np.arange(_SPHERE_ANGLES) * (2.0 * math.pi / _SPHERE_ANGLES)
     wth = 2.0 * math.pi / _SPHERE_ANGLES
     pts = rr[:, None] * np.exp(1j * th[None, :])
-    vals = qpdf_polarization_section(bv, qv, pv, pts, sv)
+    vals = qpdf_coherent_closed(bv, qv * bv, pts, pv * pts, sv)
     return float(np.einsum("rt,r,r->", vals, rr, wr)) * wth

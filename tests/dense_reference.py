@@ -3,8 +3,8 @@
 The library contracts the state's Fock coefficients against exact
 Cahill-Glauber kernel elements; these helpers build the full
 dim^2 x dim^2 operator t(alpha_x, s) (x) t(alpha_y, s) from D r^n D^+
-instead, so the tests can compare the two routes.  Index convention:
-n_x * dim + n_y.
+instead, so the tests can compare the two routes, and `reduced_modes`
+gives a state's dense partial traces.  Index convention: n_x * dim + n_y.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from polqpdf.errors import ValidationError
-from polqpdf.fock import _DENSE_DIM_LIMIT, TwoModeState, kernel
+from polqpdf.fock import _DENSE_DIM_LIMIT, TwoModeState, kernel, state_components
 
 
 @dataclass(frozen=True)
@@ -64,3 +64,15 @@ def expectation(state: TwoModeState, op: TwoModeOperator) -> complex:
             acc += w * np.vdot(v, op.entries @ v)
         return complex(acc)
     return complex(np.einsum("ij,ji->", state.density, op.entries))
+
+
+def reduced_modes(state: TwoModeState) -> tuple[np.ndarray, np.ndarray]:
+    """Partial traces (rho_x, rho_y) as dense dim x dim matrices."""
+    d = state.dim
+    rho_x = np.zeros((d, d), dtype=complex)
+    rho_y = np.zeros((d, d), dtype=complex)
+    for w, v in state_components(state):
+        m = v.reshape(d, d)
+        rho_x += w * (m @ m.conj().T)
+        rho_y += w * (m.T @ m.conj())
+    return rho_x, rho_y

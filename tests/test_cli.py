@@ -233,9 +233,12 @@ def test_oracle_truncation_exit(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert all(float(d) <= 1e-4 for d in re.findall(r"max_dev=(\S+)", out))
-    # no Fock dim holds moduli or boxes whose squares overflow a float
+    # a dim too small for a tuple's coherent tail, and no Fock dim holds
+    # moduli or boxes whose squares overflow a float
     for argv in (
         ["oracle", "--dim", "10"],
+        ["oracle", "--dim", "4"],
+        ["oracle", "--dim", "11", "--tuples", "2"],
         ["sweep", "--beta=1e200,0", "--p=0.1", "--q=0.1", "--modulus=1",
          "--method=trace_oracle"],
         ["normcheck", "--points=2", "--half-width=1e200"],

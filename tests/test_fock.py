@@ -19,14 +19,18 @@ from polqpdf.fock import (
     coherent_vector,
     fock_vector,
     kernel,
-    reduced_modes,
     required_dim,
     state_components,
     two_mode_coherent_density,
 )
 from polqpdf.qpdf import qpdf_trace
 
-from dense_reference import expectation, transiting, transiting_restricted
+from dense_reference import (
+    expectation,
+    reduced_modes,
+    transiting,
+    transiting_restricted,
+)
 
 
 def _displacement(xi, dim):

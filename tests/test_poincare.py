@@ -6,15 +6,11 @@ import pytest
 
 from polqpdf.errors import DegenerateInputError, PoleError, ValidationError
 from polqpdf.poincare import (
-    BasisPair,
-    JonesVector,
     PoincareParams,
     PolarizationIndex,
     amplitudes_to_poincare,
     index_of_polarization,
-    iop_in_basis,
     poincare_to_amplitudes,
-    transform_amplitudes,
 )
 
 
@@ -103,61 +99,3 @@ def test_params_validation(field, value):
     kwargs[field] = value
     with pytest.raises(ValidationError):
         PoincareParams(**kwargs)
-
-
-def test_jones_vector_from_angles():
-    e = JonesVector.from_angles(1.1, -0.7)
-    assert abs(abs(e.e_x) ** 2 + abs(e.e_y) ** 2 - 1.0) <= 1e-15
-    assert abs(e.e_y / e.e_x - math.tan(0.55) * cmath.exp(-0.7j)) <= 1e-15
-
-
-def test_jones_vector_norm_enforced():
-    with pytest.raises(ValidationError):
-        JonesVector(1 + 0j, 1 + 0j)
-
-
-def test_orthogonal_direction():
-    e = JonesVector.from_angles(0.9, 2.1)
-    o = e.orthogonal()
-    ip = e.e_x.conjugate() * o.e_x + e.e_y.conjugate() * o.e_y
-    assert abs(ip) <= 1e-15
-    assert abs(abs(o.e_x) ** 2 + abs(o.e_y) ** 2 - 1.0) <= 1e-15
-
-
-def test_basis_pairs():
-    for basis in (BasisPair.linear(), BasisPair.circular()):
-        e1, e2 = basis.first, basis.second
-        ip = e1.e_x.conjugate() * e2.e_x + e1.e_y.conjugate() * e2.e_y
-        assert abs(ip) <= 1e-15
-    with pytest.raises(ValidationError):
-        BasisPair(JonesVector(1 + 0j, 0j), JonesVector(1 + 0j, 0j))
-
-
-def test_transform_preserves_intensity():
-    rng = np.random.default_rng(104)
-    for _ in range(100):
-        ax = complex(*rng.normal(0.0, 1.0, 2))
-        ay = complex(*rng.normal(0.0, 1.0, 2))
-        e0 = JonesVector.from_angles(rng.uniform(0, math.pi), rng.uniform(-3, 3))
-        for basis in (BasisPair.circular(), BasisPair.from_direction(e0)):
-            b1, b2 = transform_amplitudes(ax, ay, basis)
-            assert abs(
-                abs(b1) ** 2 + abs(b2) ** 2 - abs(ax) ** 2 - abs(ay) ** 2
-            ) <= 1e-12
-
-
-def test_transform_linear_basis_is_identity():
-    a1, a2 = transform_amplitudes(0.3 - 0.2j, 1.1j, BasisPair.linear())
-    assert a1 == 0.3 - 0.2j
-    assert a2 == 1.1j
-
-
-def test_iop_in_basis():
-    e = JonesVector.from_angles(1.1, -0.7)
-    # in the linear basis the index reduces to the defining angles
-    p_lin = iop_in_basis(e, BasisPair.linear())
-    assert abs(p_lin - math.tan(0.55) * cmath.exp(-0.7j)) <= 1e-15
-    # a direction is fully polarized along itself
-    assert abs(iop_in_basis(e, BasisPair.from_direction(e))) <= 1e-15
-    with pytest.raises(PoleError):
-        iop_in_basis(e, BasisPair.from_direction(e.orthogonal()))

@@ -29,7 +29,6 @@ from polqpdf.qpdf import (
     plane_grid_qpdf,
     poincare_sphere_qpdf,
     qpdf_coherent_closed,
-    qpdf_polarization_section,
     qpdf_trace,
     qpdf_trace_single,
     sweep_modulus,
@@ -67,18 +66,10 @@ def test_closed_form_vectorized():
     assert vals[1] == pytest.approx(4.0 * math.exp(-2.0))
 
 
-def test_section_is_a_slice_of_the_closed_form():
-    beta, q, p, s = 0.7 + 0.1j, 0.3 - 0.2j, 1.1j, -0.5
-    for ax in (0j, 0.5 + 0.5j, -2.0 + 1.0j):
-        assert qpdf_polarization_section(beta, q, p, ax, s) == qpdf_coherent_closed(
-            beta, q * beta, ax, p * ax, s
-        )
-
-
 def test_section_peak_on_manifold():
     beta = 0.9 - 0.2j
     p = 0.4 + 0.3j
-    assert qpdf_polarization_section(beta, p, p, beta, 0.0) == pytest.approx(4.0)
+    assert qpdf_coherent_closed(beta, p * beta, beta, p * beta, 0.0) == pytest.approx(4.0)
 
 
 def test_peak_phase_minimizes_displacement():
@@ -91,7 +82,7 @@ def test_peak_phase_minimizes_displacement():
         r = rng.uniform(0.5, 4.0)
         th = np.arange(2048) * (2.0 * math.pi / 2048)
         axs = r * np.exp(1j * th)
-        vals = qpdf_polarization_section(beta, q, p, axs, 0.0)
+        vals = qpdf_coherent_closed(beta, q * beta, axs, p * axs, 0.0)
         cost = np.abs(axs - beta) ** 2 + np.abs(p * axs - q * beta) ** 2
         assert int(np.argmax(vals)) == int(np.argmin(cost))
 
@@ -296,8 +287,8 @@ def _embedded(pairs, dim):
     return TwoModeState.from_kets(kets, dim)
 
 
-# the state dim must meet required_dim at every point, and the density
-# form's factorization grows with dim^4, so the points stay small
+# the kron reference needs kernel rows converged at the state's dim, and the
+# density form's factorization grows with dim^4, so the points stay small
 _POINT = st.one_of(
     st.just(0j),
     st.builds(complex, st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
@@ -348,12 +339,41 @@ def test_density_route_matches_ket_route_on_mixtures(states, ax, ay, s):
     assert abs(qpdf_trace(dens, ax, ay, s) - qpdf_trace(kets, ax, ay, s)) <= 1e-12
 
 
-def test_trace_requires_adequate_dim():
-    state = two_mode_coherent_density(0j, 0j, 20)
-    with pytest.raises(TruncationError, match="alpha_x"):
-        qpdf_trace(state, 3.0 + 0j, 0j, 0.0)
-    with pytest.raises(TruncationError, match="alpha_y"):
-        qpdf_trace(state, 0j, 3.0 + 0j, 0.0)
+def _outcome(f, *args):
+    """A value, or the type of the refusal it raised."""
+    try:
+        return f(*args)
+    except (TruncationError, ValidationError) as err:
+        return type(err)
+
+
+def test_zero_padding_leaves_every_value_unchanged():
+    """Kernel elements are exact, so dim sizes only the state, at any point.
+
+    A dim-40 coherent pair gives the bitwise value (or refusal) of its
+    zero-padded dim-120 copy far beyond |alpha| = 2.48, where `required_dim`
+    stops at dim 40.  Pairs stay within |beta| <= 1.2, whose level-39
+    weight stays below the support cut even amplified by |r|^39 at s = 0.3.
+    """
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        beta, gamma = disc_point(rng, 1.2), disc_point(rng, 1.2)
+        small = two_mode_coherent_density(beta, gamma, 40)
+        padded = _embedded([(1.0, small.components[0][1].reshape(40, 40))], 120)
+        ax, ay = disc_point(rng, 12.0), disc_point(rng, 12.0)
+        for s in (-1.0, -0.5, 0.0, 0.3):
+            assert (_outcome(qpdf_trace, small, ax, ay, s)
+                    == _outcome(qpdf_trace, padded, ax, ay, s))
+    for s in (-1.0, 0.0):
+        a, b = (plane_grid_qpdf(x, s, 12.0, 5, alpha_y=ay) for x in (small, padded))
+        assert np.array_equal(a.values, b.values)
+    # the dim-20 vacuum at alpha_x = 3, once refused as too small a space
+    vac = two_mode_coherent_density(0j, 0j, 20)
+    want = qpdf_coherent_closed(0j, 0j, 3.0, 0j, 0.0)
+    assert abs(qpdf_trace(vac, 3.0, 0j, 0.0) - want) <= 1e-12
+    big = np.zeros((60, 60), dtype=complex)
+    big[1, 1] = 1.0  # |1><1|, and its dim-20 block
+    assert qpdf_trace_single(big[:20, :20], 3.0, 0.0) == qpdf_trace_single(big, 3.0, 0.0)
 
 
 def test_trace_single_mode():
@@ -586,7 +606,8 @@ def test_sphere_integral_explicit_radius():
     x, w = np.polynomial.legendre.leggauss(200)
     r, wr = 6.0 * (x + 1.0), 6.0 * w
     th = np.arange(256) * (2.0 * math.pi / 256)
-    vals = qpdf_polarization_section(beta, q, p, r[:, None] * np.exp(1j * th), s)
+    z = r[:, None] * np.exp(1j * th)
+    vals = qpdf_coherent_closed(beta, q * beta, z, p * z, s)
     val_wide = float(np.sum(vals * (r * wr)[:, None])) * (2.0 * math.pi / 256)
     val_auto = poincare_sphere_qpdf(beta, q, (chi0, d0), s)
     assert val_auto == pytest.approx(val_wide, rel=1e-9)
