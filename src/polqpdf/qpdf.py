@@ -231,6 +231,33 @@ def _coefficients(state: TwoModeState, sv: float, trim: float):
     return coef[:sx, :sy, :sx, :sy], sx, sy, pops
 
 
+def _laguerre_rows(a2: np.ndarray, sv: float, k: int):
+    """Rows y_n[j, p] = r^n L_n^(j)(4|a_p|^2/(1-s^2)) for n < k, valid for j < k - n.
+
+    The three-term Laguerre recurrence in n times r^(n+1), with
+    r = (s+1)/(s-1): r x = -kappa^2 |a|^2, so nothing diverges as s -> -1.
+    Row n is yielded before row n + 1 is formed from it and row n - 1, so a
+    caller that drops each row keeps only two alive.  m + n < k reads only
+    j < k - n: rows over many points shrink to that, while over few points,
+    where each call costs more than its arithmetic, rows keep all k entries
+    and take their coefficients from one table.  a2 holds |a|^2 per point.
+    """
+    kappa, r = 2.0 / (1.0 - sv), (sv + 1.0) / (sv - 1.0)
+    n, j = np.arange(k - 1)[:, None, None], np.arange(k)[:, None]
+    rj, d = r * (2 * n + 1 + j), r * r * (n + j) / (n + 1)
+    ka2 = kappa**2 * a2
+    c = (rj + ka2) / (n + 1) if a2.size * k * k <= _BLOCK_CAP else None
+    prev, y = np.zeros((k, a2.size)), np.ones((k, a2.size))
+    for i in range(k - 1):
+        yield y
+        if c is not None:
+            prev, y = y, c[i] * y - d[i] * prev
+        else:
+            m = k - i - 1
+            prev, y = y[:m], (rj[i, :m] + ka2) / (i + 1) * y[:m] - d[i, :m] * prev[:m]
+    yield y
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _kernel_block(points, sv: float, k: int) -> np.ndarray:
     """<m| t(alpha, s) |n> for m, n < k at each point, shape (points, k, k).
@@ -249,17 +276,11 @@ def _kernel_block(points, sv: float, k: int) -> np.ndarray:
         out = ph * np.exp(np.where(n == 0, 0.0, n * loga[:, 0]) - gammaln(n + 1.0) / 2
                          - a2[:, 0] / 2)
     else:
-        kappa, r = 2.0 / (1.0 - sv), (sv + 1.0) / (sv - 1.0)
+        kappa = 2.0 / (1.0 - sv)
         p, dk, logratio, _ = _laguerre_grids(k, k)
-        # y[n, j] = r^n L_n^(j)(4|a|^2/(1-s^2)) by the Laguerre recurrence
-        # times r^(n+1): r x = -kappa^2 |a|^2, so nothing diverges as s -> -1
-        n, j = np.arange(k - 1)[:, None], np.arange(k)
-        c = (r * (2 * n + 1 + j) + kappa**2 * a2) / (n + 1)
-        d = r * r * (n + j) / (n + 1)
-        y = np.zeros((a.size, k, k))
-        y[:, 0] = 1.0  # y[:, -1], read as y_(-1) at n = 0, is still 0
-        for i in range(k - 1):
-            y[:, i + 1] = c[:, i] * y[:, i] - d[i] * y[:, i - 1]
+        y = np.zeros((a.size, k, k))  # y[:, n, j]; j >= k - n is never read
+        for n, row in enumerate(_laguerre_rows(a2.reshape(-1), sv, k)):
+            y[:, n, :len(row)] = row.T
         y = y[:, p, dk]
         logmag = (logratio + (dk + 1) * math.log(kappa) - kappa * a2
                   + np.where(dk == 0, 0.0, dk * loga) + np.log(np.abs(y)))
@@ -269,8 +290,9 @@ def _kernel_block(points, sv: float, k: int) -> np.ndarray:
     return out
 
 
-def _chunks(n: int, k: int):
-    step = max(1, _BLOCK_CAP // (k * k))
+def _chunks(n: int, per_point: int):
+    """Slices of n points whose temporaries hold about _BLOCK_CAP elements."""
+    step = max(1, _BLOCK_CAP // per_point)
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
@@ -320,9 +342,10 @@ def _trace_points(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
     """Tr[rho T(ax, ay, s)] per point; a single ay is shared by all points."""
     coef, sx, sy, _ = _coefficients(state, sv, _TRACE_TRIM)
     axs, ays = (np.asarray(z, dtype=complex).reshape(-1) for z in (axs, ays))
+    shared = _kernel_block(ays, sv, sy) if ays.size == 1 else None
     out = []
-    for idx in _chunks(axs.size, max(sx, sy)):
-        ty = _kernel_block(ays if ays.size == 1 else ays[idx], sv, sy)
+    for idx in _chunks(axs.size, max(sx, sy) ** 2):
+        ty = _kernel_block(ays[idx], sv, sy) if shared is None else shared
         out.append(_contract(coef, _kernel_block(axs[idx], sv, sx), ty, sv))
     return np.concatenate(out)
 
@@ -473,18 +496,47 @@ def _plane_nodes(quad: PlaneQuadrature) -> tuple[np.ndarray, np.ndarray]:
     return (re + 1j * im).reshape(-1), ww.reshape(-1)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _kernel_sums(nodes, weights, sv: float, k: int):
     """(1/pi) sum_g w_g t(alpha_g, s) as a (1, k, k) block, and at s > 0
-    the same sum of |t|, which bounds its rounding (zeros otherwise)."""
-    tot, mag = np.zeros((k, k), dtype=complex), np.zeros((k, k))
+    the same sum of |t|, which bounds its rounding (zeros otherwise).
+
+    No kernel element is formed.  For m = n + d >= n the sum is
+    sqrt(n! d!/m!) sum_g u[d, g] y_n[d, g], with
+    u = (w/pi) kappa^(d+1) e^(-kappa|a|^2) a^d / sqrt(d!) formed in logs once
+    per node and diagonal, and y_n = r^n L_n^(d) from `_laguerre_rows`: each
+    row is dotted into the sums and dropped, over chunks of _BLOCK_CAP / k
+    nodes.  m < n follows by Hermitian conjugation.  At s = -1 the sum of
+    c c^H over the amplitudes of `_kernel_block` is cheaper still.
+    Non-finite sums, e.g. where r^n L_n overflows, raise TruncationError.
+    """
+    sums, mags = np.zeros((k, k, 2)), np.zeros((k, k))  # [n, d, re/im], [n, d]
+    if sv == -1.0:
+        tot = np.zeros((k, k), dtype=complex)
+        for idx in _chunks(nodes.size, k * k):
+            c = _kernel_block(nodes[idx], sv, k)
+            tot += (c.T * (weights[idx] / math.pi)) @ c.conj()
+        return tot[None], mags[None]
+    kappa, d = 2.0 / (1.0 - sv), np.arange(k)[:, None]
     for idx in _chunks(nodes.size, k):
-        t, w = _kernel_block(nodes[idx], sv, k), weights[idx] / math.pi
-        if t.ndim == 2:
-            tot += (t.T * w) @ t.conj()
-        else:
-            tot += np.tensordot(w, t, 1)
+        a = nodes[idx]
+        a2 = np.abs(a) ** 2
+        logu = ((d + 1) * math.log(kappa) - gammaln(d + 1.0) / 2 - kappa * a2
+                + np.where(d == 0, 0.0, d * np.log(np.abs(a))))
+        u = weights[idx] / math.pi * np.exp(logu)
+        ph = d * np.angle(a)
+        uri = np.stack((u * np.cos(ph), u * np.sin(ph)), axis=1)  # (k, 2, nodes)
+        for n, y in enumerate(_laguerre_rows(a2, sv, k)):
+            m = k - n
+            sums[n, :m] += (uri[:m] @ y[:m, :, None])[..., 0]
             if sv > 0.0:
-                mag += np.tensordot(w, np.abs(t), 1)
+                mags[n, :m] += (u[:m, None] @ np.abs(y[:m, :, None]))[:, 0, 0]
+    p, dk, logratio, upper = _laguerre_grids(k, k)
+    scale = np.exp(logratio + gammaln(dk + 1.0) / 2)
+    tot = sums[p, dk, 0] + 1j * np.where(upper, -1.0, 1.0) * sums[p, dk, 1]
+    tot, mag = scale * tot, scale * mags[p, dk]
+    if not (np.isfinite(tot).all() and np.isfinite(mag).all()):
+        raise TruncationError("kernel sums over these nodes are not finite")
     return tot[None], mag[None]
 
 
@@ -495,7 +547,7 @@ def normalization_check(
 
     Returns the full 4-D integral estimate together with the two
     single-mode integrals of the reduced states, from the `qpdf_trace`
-    contraction against quadrature-weighted kernel blocks (the identity on
+    contraction against quadrature-weighted kernel sums (the identity on
     the other mode for a mode integral).  A box smaller than
     (max amplitude + 5) is flagged, not fatal.  At s > 0 the integrals
     are refused like `qpdf_trace` values, with `TruncationError`.

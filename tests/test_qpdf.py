@@ -25,6 +25,8 @@ from polqpdf.qpdf import (
     PlaneQuadrature,
     QpdfGrid,
     _kernel_block,
+    _kernel_sums,
+    _plane_nodes,
     normalization_check,
     plane_grid_qpdf,
     poincare_sphere_qpdf,
@@ -124,6 +126,17 @@ def test_kernel_block_matches_exact_finite_sum():
     # at s = -1 the block is the coherent projector, returned as its amplitudes
     c = _kernel_block([1.3 - 0.7j], -1.0, 25)[0]
     assert np.allclose(c, coherent_vector(1.3 - 0.7j, 60)[:25], rtol=0.0, atol=1e-15)
+
+
+def test_kernel_block_does_not_depend_on_the_batch():
+    # a batch too large for the coefficient table forms each recurrence
+    # row as it goes; the arithmetic, and so every bit, stays the same
+    rng = np.random.default_rng(7)
+    pts = 3.0 * (rng.normal(size=300) + 1j * rng.normal(size=300))
+    for s in (-0.5, 0.0, 0.3):
+        batch = _kernel_block(pts, s, 30)
+        single = np.concatenate([_kernel_block([a], s, 30) for a in pts])
+        assert np.array_equal(batch, single)
 
 
 def test_trace_matches_closed_form():
@@ -548,6 +561,52 @@ def test_normalization_refuses_non_finite_kernel_elements():
     state = two_mode_coherent_density(0.8 + 0.3j, 0.1, 40)
     with pytest.raises(TruncationError, match="not finite"):
         normalization_check(state, 0.0, PlaneQuadrature(2, 1e20))
+
+
+def _kernel_sums_reference(nodes, weights, s, k):
+    """(1/pi) sum_g w_g t(alpha_g, s) and sum_g w_g |t| from per-node kernel blocks."""
+    t = _kernel_block(nodes, s, k)
+    if t.ndim == 2:  # s = -1: coherent amplitudes, t = c c^H
+        t = t[:, :, None] * t[:, None, :].conj()
+    w = np.asarray(weights) / math.pi
+    return np.tensordot(w, t, 1), np.tensordot(w, np.abs(t), 1)
+
+
+def _assert_sums_match(nodes, weights, s, k, logs=0.0):
+    want, want_mag = _kernel_sums_reference(nodes, weights, s, k)
+    got, got_mag = (x[0] for x in _kernel_sums(nodes, weights, s, k))
+    if s <= 0.0:
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        assert not got_mag.any()
+    else:
+        # the alternating sums cancel far below their terms: hold each
+        # element to the rounding bound its magnitude sum sets
+        bound = (8 * k + logs) * np.finfo(float).eps * want_mag
+        assert np.all(np.abs(got - want) <= bound)
+        assert np.all(np.abs(got_mag - want_mag) <= bound)
+
+
+def test_kernel_sums_match_per_node_blocks():
+    nodes, weights = _plane_nodes(PlaneQuadrature(40, 6.0))
+    for k in (1, 2, 13, 22):
+        for s in (-1.0, -0.999, -0.5, 0.0, 0.3, 0.7):
+            _assert_sums_match(nodes, weights, s, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.builds(complex, st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                       st.floats(1e-6, 1.0)), min_size=1, max_size=30),
+    st.one_of(st.just(-1.0), st.floats(-1.0, 0.6)),
+    st.integers(1, 12),
+)
+def test_kernel_sums_match_per_node_blocks_anywhere(nodes_weights, s, k):
+    nodes, weights = (np.array(v) for v in zip(*nodes_weights))
+    # both forms exponentiate sums of logs, which round to eps times their
+    # size: a lone node far out or near 0 sets the elements it dominates
+    a = np.abs(nodes[nodes != 0])
+    logs = np.max(2.0 / (1.0 - s) * a**2 + k * np.abs(np.log(a)), initial=0.0)
+    _assert_sums_match(nodes, weights, s, k, logs)
 
 
 def test_normalization_box_warning():
