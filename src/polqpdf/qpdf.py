@@ -237,10 +237,13 @@ def _laguerre_rows(a2: np.ndarray, sv: float, k: int):
     The three-term Laguerre recurrence in n times r^(n+1), with
     r = (s+1)/(s-1): r x = -kappa^2 |a|^2, so nothing diverges as s -> -1.
     Row n is yielded before row n + 1 is formed from it and row n - 1, so a
-    caller that drops each row keeps only two alive.  m + n < k reads only
-    j < k - n: rows over many points shrink to that, while over few points,
-    where each call costs more than its arithmetic, rows keep all k entries
-    and take their coefficients from one table.  a2 holds |a|^2 per point.
+    caller that drops each row keeps only two alive.  The schedule follows
+    the input size.  When the k x k coefficients of every point fit
+    _BLOCK_CAP, they are formed at once and rows keep all k entries: over
+    few points numpy's cost per call, not the arithmetic, sets the time.
+    Otherwise rows shrink to the j < k - n entries that m + n < k reads, and
+    each row's coefficients are formed as it goes.  The arithmetic of every
+    entry is the same either way.  a2 holds |a|^2 per point.
     """
     kappa, r = 2.0 / (1.0 - sv), (sv + 1.0) / (sv - 1.0)
     n, j = np.arange(k - 1)[:, None, None], np.arange(k)[:, None]
