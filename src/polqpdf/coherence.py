@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import TruncationError, ValidationError
-from .fock import TwoModeState, state_components
+from .fock import TwoModeState, _log_factorial, state_components
 from .poincare import PolarizationIndex
 
 __all__ = [
@@ -82,7 +81,7 @@ def _mode_power_operator(m: int, n: int, dim: int) -> np.ndarray:
     k = np.arange(n, min(dim, dim + n - m))
     op = np.zeros((dim, dim), dtype=complex)
     op[k - n + m, k] = np.exp(
-        0.5 * (gammaln(k + 1.0) + gammaln(k - n + m + 1.0)) - gammaln(k - n + 1.0)
+        0.5 * (_log_factorial(k) + _log_factorial(k - n + m)) - _log_factorial(k - n)
     )
     return op
 

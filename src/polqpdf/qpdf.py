@@ -26,14 +26,13 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import fock
 from .errors import TruncationError, ValidationError
-from .fock import TwoModeState, _laguerre_grids, _order_value, required_dim
+from .fock import (TwoModeState, _gl_nodes, _laguerre_grids, _log_factorial, _order_value,
+                   required_dim)
 from .poincare import PolarizationIndex
 
 __all__ = [
@@ -276,7 +275,7 @@ def _kernel_block(points, sv: float, k: int) -> np.ndarray:
     ph = np.exp(1j * np.arange(k) * np.angle(a[:, 0]))  # e^(i n arg a)
     if sv == -1.0:
         n = np.arange(k)
-        out = ph * np.exp(np.where(n == 0, 0.0, n * loga[:, 0]) - gammaln(n + 1.0) / 2
+        out = ph * np.exp(np.where(n == 0, 0.0, n * loga[:, 0]) - _log_factorial(n) / 2
                          - a2[:, 0] / 2)
     else:
         kappa = 2.0 / (1.0 - sv)
@@ -479,14 +478,6 @@ def plane_grid_qpdf(
 # plane-integral normalization
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
-def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _plane_nodes(quad: PlaneQuadrature) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gl_nodes(quad.nodes_per_axis)
     L = quad.half_width
@@ -524,7 +515,7 @@ def _kernel_sums(nodes, weights, sv: float, k: int):
     for idx in _chunks(nodes.size, k):
         a = nodes[idx]
         a2 = np.abs(a) ** 2
-        logu = ((d + 1) * math.log(kappa) - gammaln(d + 1.0) / 2 - kappa * a2
+        logu = ((d + 1) * math.log(kappa) - _log_factorial(d) / 2 - kappa * a2
                 + np.where(d == 0, 0.0, d * np.log(np.abs(a))))
         u = weights[idx] / math.pi * np.exp(logu)
         ph = d * np.angle(a)
@@ -535,7 +526,7 @@ def _kernel_sums(nodes, weights, sv: float, k: int):
             if sv > 0.0:
                 mags[n, :m] += (u[:m, None] @ np.abs(y[:m, :, None]))[:, 0, 0]
     p, dk, logratio, upper = _laguerre_grids(k, k)
-    scale = np.exp(logratio + gammaln(dk + 1.0) / 2)
+    scale = np.exp(logratio + _log_factorial(dk) / 2)
     tot = sums[p, dk, 0] + 1j * np.where(upper, -1.0, 1.0) * sums[p, dk, 1]
     tot, mag = scale * tot, scale * mags[p, dk]
     if not (np.isfinite(tot).all() and np.isfinite(mag).all()):

@@ -288,6 +288,36 @@ def test_cli_import_skips_scipy_stats():
     assert res.stdout.strip() == "False"
 
 
+def test_commands_run_without_scipy(tmp_path):
+    # scipy.special and scipy.linalg were most of the start-up time; every
+    # command runs on numpy alone, and only from_density loads LAPACK
+    src = str(Path(polqpdf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = f"""
+import sys
+from polqpdf.cli import main
+from polqpdf.fock import TwoModeState, state_components, two_mode_coherent_density
+out = {str(tmp_path)!r}
+for argv in (["figure1a", "--out", out + "/a.csv"],
+             ["figure2c", "--method", "trace_oracle", "--out", out + "/c.csv"],
+             ["sweep", "--beta", "0.2,0.1", "--p", "0.5", "--q", "0.3", "--phase", "0.785",
+              "--points", "32", "--method", "trace_oracle", "--out", out + "/s.csv"],
+             ["oracle", "--tuples", "5"], ["normcheck", "--points", "40"], ["report"]):
+    assert main(argv) == 0, argv
+print("loaded", [m for m in ("scipy.special", "scipy.linalg") if m in sys.modules])
+rho = two_mode_coherent_density(0.3, 0.2j, 8).density
+(w, _), = state_components(TwoModeState.from_density(rho, 8))
+print("weight", round(w, 12))
+"""
+    res = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    assert lines[-2] == "loaded []"
+    assert lines[-1] == "weight 1.0"
+
+
 def test_normcheck_fails_on_nan_deviation(monkeypatch, capsys):
     # max() drops a NaN deviation, which printed PASS for all-NaN totals
     nan = qpdf.NormalizationResult(math.nan, 1.0, 1.0, 6.0, 6.0)

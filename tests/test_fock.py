@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.special import pdtrc
+from scipy.special import gammaln, pdtrc
 
 from polqpdf import fock
 from polqpdf.coherence import _mode_power_operator
@@ -95,6 +97,36 @@ def test_required_dim_rule():
     for m in (1e10, 1e200):
         with pytest.raises(TruncationError, match="no Fock dim"):
             required_dim(m)
+
+
+def test_required_dim_tail_bound_at_large_moduli():
+    # at lam = 1e8 pdtrc put the tail of dim 100069979 below 1e-12; summed
+    # directly it is 1.3e-12.  Here 1e5 pmf terms are summed in logs from
+    # k + 1 on, the first from math.lgamma and the rest by ratios lam / j.
+    lam = 1e8
+
+    def tail(k):
+        steps = np.log(lam / np.arange(k + 2, k + 100_001))
+        logp = ((k + 1) * math.log(lam) - lam - math.lgamma(k + 2)
+                + np.concatenate(([0.0], np.cumsum(steps))))
+        return float(np.exp(logp).sum())
+
+    dim = required_dim(1e4)
+    assert tail(dim - 1) < 1e-12 <= tail(dim - 2)
+
+
+def test_log_factorial_table_matches_gammaln():
+    n = np.arange(5000)[::-1].reshape(50, 100)
+    np.testing.assert_allclose(fock._log_factorial(n), gammaln(n + 1.0), rtol=1e-15, atol=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1e5), st.floats(-10.0, 35.0))
+def test_poisson_tail_matches_pdtrc(lam, z):
+    k = max(0, int(lam + z * math.sqrt(lam + 1.0)))
+    want = pdtrc(k, lam)
+    assume(want >= 1e-300)
+    assert fock._poisson_tail(k, lam) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def test_displacement_against_matrix_exponential():
