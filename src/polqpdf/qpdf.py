@@ -230,7 +230,7 @@ def _coefficients(state: TwoModeState, sv: float, trim: float):
     return coef[:sx, :sy, :sx, :sy], sx, sy, pops
 
 
-def _laguerre_rows(a2: np.ndarray, sv: float, k: int):
+def _laguerre_rows(a2: np.ndarray, sv: float, k: int, y0=1.0):
     """Rows y_n[j, p] = r^n L_n^(j)(4|a_p|^2/(1-s^2)) for n < k, valid for j < k - n.
 
     The three-term Laguerre recurrence in n times r^(n+1), with
@@ -242,14 +242,14 @@ def _laguerre_rows(a2: np.ndarray, sv: float, k: int):
     few points numpy's cost per call, not the arithmetic, sets the time.
     Otherwise rows shrink to the j < k - n entries that m + n < k reads, and
     each row's coefficients are formed as it goes.  The arithmetic of every
-    entry is the same either way.  a2 holds |a|^2 per point.
+    entry is the same either way.  a2 holds |a|^2 per point, y0 scales its rows.
     """
     kappa, r = 2.0 / (1.0 - sv), (sv + 1.0) / (sv - 1.0)
     n, j = np.arange(k - 1)[:, None, None], np.arange(k)[:, None]
     rj, d = r * (2 * n + 1 + j), r * r * (n + j) / (n + 1)
     ka2 = kappa**2 * a2
     c = (rj + ka2) / (n + 1) if a2.size * k * k <= _BLOCK_CAP else None
-    prev, y = np.zeros((k, a2.size)), np.ones((k, a2.size))
+    prev, y = np.zeros((k, a2.size)), np.ones((k, a2.size)) * y0
     for i in range(k - 1):
         yield y
         if c is not None:
@@ -314,19 +314,28 @@ def _x_dot(g: np.ndarray, tx: np.ndarray) -> np.ndarray:
     return (tx.reshape(len(tx), 1, -1) @ g.swapaxes(1, 2).reshape(len(g), -1, 1))[:, 0, 0]
 
 
-def _contract(coef, tx, ty, sv: float, mags=None) -> np.ndarray:
-    """Tr[rho (tx (x) ty)] per point, real part.
+def _y_side(coef, ty, sv: float, my=None):
+    """What `_contract` needs of ty: the y mode contracted first, at s > 0
+    the same contraction of |rho| against the magnitudes my (default |ty|),
+    and ty's size.  One result may serve every chunk of x points."""
+    if sv <= 0.0:
+        return _y_first(coef, ty), None, ty.shape[-1]
+    acoef = [(w, np.abs(v)) for w, v in coef] if isinstance(coef, list) else np.abs(coef)
+    return _y_first(coef, ty), _y_first(acoef, np.abs(ty) if my is None else my), ty.shape[-1]
 
-    At s > 0 the same contraction of |rho| against the magnitudes mags
-    (default |tx|, |ty|) bounds the rounding: a value it cannot hold to
-    1e-10 raises TruncationError.  The imaginary residue must stay below 1e-9.
+
+def _contract(ys, tx, sv: float, mx=None) -> np.ndarray:
+    """Tr[rho (tx (x) ty)] per point, real part, with ys = _y_side(rho, ty, s).
+
+    At s > 0 the magnitude contraction, finished against mx (default |tx|),
+    bounds the rounding: a value it cannot hold to 1e-10 raises
+    TruncationError.  The imaginary residue must stay below 1e-9.
     """
-    vals = _x_dot(_y_first(coef, ty), tx)
+    g, ag, ny = ys
+    vals = _x_dot(g, tx)
     if sv > 0.0:
-        mx, my = (np.abs(tx), np.abs(ty)) if mags is None else mags
-        acoef = [(w, np.abs(v)) for w, v in coef] if isinstance(coef, list) else np.abs(coef)
-        size = np.max(_x_dot(_y_first(acoef, my), mx).real)
-        err = np.finfo(float).eps * (tx.shape[-1] + ty.shape[-1]) * size
+        size = np.max(_x_dot(ag, np.abs(tx) if mx is None else mx).real)
+        err = np.finfo(float).eps * (tx.shape[-1] + ny) * size
         if not err <= _CANCEL_TOL:
             raise TruncationError(
                 f"s={sv:g}: the alternating Fock sum cannot be held to {_CANCEL_TOL:g} "
@@ -344,11 +353,11 @@ def _trace_points(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
     """Tr[rho T(ax, ay, s)] per point; a single ay is shared by all points."""
     coef, sx, sy, _ = _coefficients(state, sv, _TRACE_TRIM)
     axs, ays = (np.asarray(z, dtype=complex).reshape(-1) for z in (axs, ays))
-    shared = _kernel_block(ays, sv, sy) if ays.size == 1 else None
+    shared = _y_side(coef, _kernel_block(ays, sv, sy), sv) if ays.size == 1 else None
     out = []
     for idx in _chunks(axs.size, max(sx, sy) ** 2):
-        ty = _kernel_block(ays[idx], sv, sy) if shared is None else shared
-        out.append(_contract(coef, _kernel_block(axs[idx], sv, sx), ty, sv))
+        ys = _y_side(coef, _kernel_block(ays[idx], sv, sy), sv) if shared is None else shared
+        out.append(_contract(ys, _kernel_block(axs[idx], sv, sx), sv))
     return np.concatenate(out)
 
 
@@ -380,7 +389,8 @@ def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
         raise ValidationError("rho entries must be finite")
     k = _support(np.diagonal(rho).real, sv, _TRACE_TRIM)
     coef = rho[:k, None, :k, None]
-    return float(_contract(coef, _kernel_block([alpha], sv, k), np.ones((1, 1, 1)), sv)[0])
+    ys = _y_side(coef, np.ones((1, 1, 1)), sv)
+    return float(_contract(ys, _kernel_block([alpha], sv, k), sv)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,36 +505,39 @@ def _kernel_sums(nodes, weights, sv: float, k: int):
     """(1/pi) sum_g w_g t(alpha_g, s) as a (1, k, k) block, and at s > 0
     the same sum of |t|, which bounds its rounding (zeros otherwise).
 
-    No kernel element is formed.  For m = n + d >= n the sum is
-    sqrt(n! d!/m!) sum_g u[d, g] y_n[d, g], with
-    u = (w/pi) kappa^(d+1) e^(-kappa|a|^2) a^d / sqrt(d!) formed in logs once
-    per node and diagonal, and y_n = r^n L_n^(d) from `_laguerre_rows`: each
-    row is dotted into the sums and dropped, over chunks of _BLOCK_CAP / k
-    nodes.  m < n follows by Hermitian conjugation.  At s = -1 the sum of
-    c c^H over the amplitudes of `_kernel_block` is cheaper still.
+    No kernel element is formed, and none depends on k: the block of j < k
+    is this one sliced.  For m = n + d >= n the sum is
+    sqrt(n! d!/m!) sum_rho u[d, rho] y_n[d, rho] over the distinct radii
+    rho = |a| of the nodes: u = kappa^(d+1) e^(-kappa rho^2) rho^d / sqrt(d!),
+    formed in logs, times the radius's sum of (w/pi) e^(i d arg a) (powers of
+    the unit phase), and y_n = r^n L_n^(d) from `_laguerre_rows`: each row is
+    dotted into the sums and dropped, over chunks of _BLOCK_CAP / k radii.
+    Magnitude sums take sum w/pi per radius.  m < n by Hermitian conjugation.
     Non-finite sums, e.g. where r^n L_n overflows, raise TruncationError.
     """
     sums, mags = np.zeros((k, k, 2)), np.zeros((k, k))  # [n, d, re/im], [n, d]
-    if sv == -1.0:
-        tot = np.zeros((k, k), dtype=complex)
-        for idx in _chunks(nodes.size, k * k):
-            c = _kernel_block(nodes[idx], sv, k)
-            tot += (c.T * (weights[idx] / math.pi)) @ c.conj()
-        return tot[None], mags[None]
     kappa, d = 2.0 / (1.0 - sv), np.arange(k)[:, None]
-    for idx in _chunks(nodes.size, k):
-        a = nodes[idx]
-        a2 = np.abs(a) ** 2
-        logu = ((d + 1) * math.log(kappa) - _log_factorial(d) / 2 - kappa * a2
-                + np.where(d == 0, 0.0, d * np.log(np.abs(a))))
-        u = weights[idx] / math.pi * np.exp(logu)
-        ph = d * np.angle(a)
-        uri = np.stack((u * np.cos(ph), u * np.sin(ph)), axis=1)  # (k, 2, nodes)
-        for n, y in enumerate(_laguerre_rows(a2, sv, k)):
+    rho = np.abs(nodes)
+    order = np.argsort(rho, kind="stable")
+    rho, w, z = rho[order], weights[order] / math.pi, np.exp(1j * np.angle(nodes[order]))
+    starts = np.flatnonzero(np.r_[True, rho[1:] != rho[:-1]])  # first node of each radius
+    ends = np.r_[starts[1:], rho.size]
+    for idx in _chunks(starts.size, k):
+        lo, hi = starts[idx][0], ends[idx][-1]
+        r, wz, ph = rho[starts[idx]], w[lo:hi] + 0j, np.empty((k, starts[idx].size), complex)
+        for j in range(k):  # ph[j] = sum of (w/pi) e^(i j arg a) per radius
+            ph[j] = np.add.reduceat(wz, starts[idx] - lo)
+            wz *= z[lo:hi]
+        # at s = -1 the rows grow like e^(kappa rho^2); half of e^(-kappa rho^2) moves in
+        h = kappa * r**2 / 2 if sv == -1.0 else 0.0
+        u = np.exp((d + 1) * math.log(kappa) - _log_factorial(d) / 2 - kappa * r**2 + h
+                   + np.where(d == 0, 0.0, d * np.log(r)))
+        uri = np.stack(((u * ph).real, (u * ph).imag), axis=1)  # (k, 2, radii)
+        for n, y in enumerate(_laguerre_rows(r**2, sv, k, np.exp(-h))):
             m = k - n
             sums[n, :m] += (uri[:m] @ y[:m, :, None])[..., 0]
             if sv > 0.0:
-                mags[n, :m] += (u[:m, None] @ np.abs(y[:m, :, None]))[:, 0, 0]
+                mags[n, :m] += np.einsum("dr,dr->d", u[:m] * ph[0].real, np.abs(y[:m]))
     p, dk, logratio, upper = _laguerre_grids(k, k)
     scale = np.exp(logratio + _log_factorial(dk) / 2)
     tot = sums[p, dk, 0] + 1j * np.where(upper, -1.0, 1.0) * sums[p, dk, 1]
@@ -541,7 +554,8 @@ def normalization_check(
 
     Returns the full 4-D integral estimate together with the two
     single-mode integrals of the reduced states, from the `qpdf_trace`
-    contraction against quadrature-weighted kernel sums (the identity on
+    contraction against one block of quadrature-weighted kernel sums,
+    formed at the larger support and sliced for each mode (the identity on
     the other mode for a mode integral).  A box smaller than
     (max amplitude + 5) is flagged, not fatal.  At s > 0 the integrals
     are refused like `qpdf_trace` values, with `TruncationError`.
@@ -549,11 +563,12 @@ def normalization_check(
     sv = _order_value(s)
     nodes, weights = _plane_nodes(quadrature)
     coef, sx, sy, pops = _coefficients(state, sv, _TRIM_TOL)
-    (wx, ax), (wy, ay) = (_kernel_sums(nodes, weights, sv, k) for k in (sx, sy))
-    ix, iy = np.eye(sx)[None], np.eye(sy)[None]
-    total = float(_contract(coef, wx, wy, sv, mags=(ax, ay))[0])
-    mode_x = float(_contract(coef, wx, iy, sv, mags=(ax, iy))[0])
-    mode_y = float(_contract(coef, ix, wy, sv, mags=(ix, ay))[0])
+    w, a = _kernel_sums(nodes, weights, sv, max(sx, sy))
+    wx, ax, wy, ay = w[:, :sx, :sx], a[:, :sx, :sx], w[:, :sy, :sy], a[:, :sy, :sy]
+    ys = _y_side(coef, wy, sv, ay)
+    total = float(_contract(ys, wx, sv, ax)[0])
+    mode_x = float(_contract(_y_side(coef, np.eye(sy)[None], sv), wx, sv, ax)[0])
+    mode_y = float(_contract(ys, np.eye(sx)[None], sv)[0])
     nbar = max(float(np.arange(p.size) @ p) for p in (pops.sum(axis=1), pops.sum(axis=0)))
     recommended = math.sqrt(nbar) + 5.0
     warnings: tuple[str, ...] = ()

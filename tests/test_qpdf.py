@@ -24,6 +24,7 @@ from polqpdf.qpdf import (
     Method,
     PlaneQuadrature,
     QpdfGrid,
+    _BLOCK_CAP,
     _kernel_block,
     _kernel_sums,
     _plane_nodes,
@@ -580,33 +581,73 @@ def _assert_sums_match(nodes, weights, s, k, logs=0.0):
         assert not got_mag.any()
     else:
         # the alternating sums cancel far below their terms: hold each
-        # element to the rounding bound its magnitude sum sets
-        bound = (8 * k + logs) * np.finfo(float).eps * want_mag
+        # element to the rounding bound its magnitude sum sets, which is
+        # absolute below the normal range (a node near 0 gives subnormals)
+        fl = np.finfo(float)
+        bound = (8 * k + logs) * fl.eps * np.maximum(want_mag, fl.tiny)
         assert np.all(np.abs(got - want) <= bound)
         assert np.all(np.abs(got_mag - want_mag) <= bound)
 
 
 def test_kernel_sums_match_per_node_blocks():
-    nodes, weights = _plane_nodes(PlaneQuadrature(40, 6.0))
-    for k in (1, 2, 13, 22):
-        for s in (-1.0, -0.999, -0.5, 0.0, 0.3, 0.7):
-            _assert_sums_match(nodes, weights, s, k)
+    # an odd count puts a node at the origin, the zero radius; at s = -1 the
+    # rows (|a|^2)^n / n! grow fastest with the box
+    for quad, orders in ((PlaneQuadrature(40, 6.0), (-1.0, -0.999, -0.5, 0.0, 0.3, 0.7)),
+                         (PlaneQuadrature(41, 6.0), (-1.0, -0.999, -0.5, 0.0, 0.3, 0.7)),
+                         (PlaneQuadrature(60, 12.0), (-1.0,)),
+                         (PlaneQuadrature(60, 20.0), (-1.0,))):
+        nodes, weights = _plane_nodes(quad)
+        for k in (1, 2, 13, 22):
+            for s in orders:
+                _assert_sums_match(nodes, weights, s, k)
+    # with 200 levels on this box the rows (|a|^2)^n / n! alone would overflow;
+    # their rounding grows with n.  At s = -1, t = c c^H
+    nodes, weights = _plane_nodes(PlaneQuadrature(60, 50.0))
+    c = _kernel_block(nodes, -1.0, 200)
+    want = (c.T * (weights / math.pi)) @ c.conj()
+    got = _kernel_sums(nodes, weights, -1.0, 200)[0][0]
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.tuples(st.builds(complex, st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
-                       st.floats(1e-6, 1.0)), min_size=1, max_size=30),
-    st.one_of(st.just(-1.0), st.floats(-1.0, 0.6)),
-    st.integers(1, 12),
-)
-def test_kernel_sums_match_per_node_blocks_anywhere(nodes_weights, s, k):
+def test_kernel_sums_slice_to_every_smaller_support():
+    for n in (40, 41):
+        nodes, weights = _plane_nodes(PlaneQuadrature(n, 6.0))
+        for s in (-1.0, -0.5, 0.0, 0.3, 0.7):
+            big = _kernel_sums(nodes, weights, s, 22)
+            for j in (1, 2, 13, 21):
+                for got, want in zip(big, _kernel_sums(nodes, weights, s, j)):
+                    got = got[:, :j, :j]
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+_NODES_WEIGHTS = st.lists(
+    st.tuples(st.builds(complex, st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+              st.floats(1e-6, 1.0)), min_size=1, max_size=30)
+_SUM_ORDERS = st.one_of(st.just(-1.0), st.floats(-1.0, 0.6))
+
+
+def _assert_sums_match_anywhere(nodes_weights, s, k):
     nodes, weights = (np.array(v) for v in zip(*nodes_weights))
     # both forms exponentiate sums of logs, which round to eps times their
     # size: a lone node far out or near 0 sets the elements it dominates
     a = np.abs(nodes[nodes != 0])
     logs = np.max(2.0 / (1.0 - s) * a**2 + k * np.abs(np.log(a)), initial=0.0)
     _assert_sums_match(nodes, weights, s, k, logs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_NODES_WEIGHTS, _SUM_ORDERS, st.integers(1, 12))
+def test_kernel_sums_match_per_node_blocks_anywhere(nodes_weights, s, k):
+    _assert_sums_match_anywhere(nodes_weights, s, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_NODES_WEIGHTS, _SUM_ORDERS, st.integers(1, 12))
+def test_kernel_sums_match_per_node_blocks_on_orbits(nodes_weights, s, k):
+    # alpha, i alpha, -alpha, -i alpha and conj(alpha) share a radius and a
+    # weight, so the sums run over fewer radii than nodes
+    _assert_sums_match_anywhere([(z, w) for a, w in nodes_weights
+                                 for z in (a, 1j * a, -a, -1j * a, a.conjugate())], s, k)
 
 
 def test_normalization_box_warning():
@@ -686,6 +727,15 @@ def test_plane_grid_values_match_pointwise():
         z = complex(ax[i], ax[j])
         want = qpdf_trace(state, z, 0.3 + 0.1j, -1.0)
         assert grid.values[i * 12 + j] == pytest.approx(want, abs=1e-12)
+    # a support of 74 levels splits this plane's 64 points into chunks, which
+    # share one contraction of the alpha_y block
+    state = two_mode_coherent_density(5.0, 5j, 74)
+    assert _BLOCK_CAP // 74**2 < 64
+    for s in (-0.5, 0.0):
+        grid = plane_grid_qpdf(state, s, 6.0, 8, alpha_y=4.5j)
+        ax = grid.axis_values
+        want = [qpdf_trace(state, complex(x, y), 4.5j, s) for x in ax for y in ax]
+        assert grid.values == pytest.approx(want, abs=1e-12)
 
 
 def test_plane_grid_nonnegative_q_function():
