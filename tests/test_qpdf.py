@@ -581,10 +581,8 @@ def _assert_sums_match(nodes, weights, s, k, logs=0.0):
         assert not got_mag.any()
     else:
         # the alternating sums cancel far below their terms: hold each
-        # element to the rounding bound its magnitude sum sets, which is
-        # absolute below the normal range (a node near 0 gives subnormals)
-        fl = np.finfo(float)
-        bound = (8 * k + logs) * fl.eps * np.maximum(want_mag, fl.tiny)
+        # element to the rounding bound its magnitude sum sets
+        bound = (8 * k + logs) * np.finfo(float).eps * want_mag
         assert np.all(np.abs(got - want) <= bound)
         assert np.all(np.abs(got_mag - want_mag) <= bound)
 
