@@ -1,11 +1,11 @@
 """Truncated Fock-space operators for one and two optical modes.
 
-Everything here is dense numpy on photon numbers 0..dim-1.  Displacement
-matrix elements come from the closed-form associated-Laguerre expression
-with log-factorial stabilization, so no matrix exponential is needed and
-individual elements stay accurate at moderate amplitudes (the builder is
-safe up to dim of a few hundred; overflow in the Laguerre factor would
-start near dim ~ 400).
+Everything here is dense numpy on photon numbers 0..dim-1.  The trace
+engine in `qpdf` never builds a displacement block.  `_displacement_block`
+and `kernel` are the tests' dense reference: displacement matrix elements
+from the closed-form associated-Laguerre expression with log-factorial
+stabilization, accurate at moderate amplitudes (up to dim of a few
+hundred; overflow in the Laguerre factor would start near dim ~ 400).
 
 Two-mode states use the flattened index n_x * dim + n_y.  Always go
 through `TwoModeState` and the helpers here instead of doing raw index

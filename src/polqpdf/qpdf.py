@@ -11,6 +11,12 @@ Two evaluation routes are kept deliberately separate:
   alternates; a value whose rounding bound exceeds 1e-10, or a state
   with weight at its top level, raises `TruncationError`.
 
+Traces whose y side is one point (`qpdf_trace`, `qpdf_trace_single`,
+`plane_grid_qpdf`) contract the y mode once and stream the x mode: each
+Laguerre row is dotted into per-radius sums and dropped, and no
+(points, k, k) block is formed.  Trace sweeps move alpha_y with alpha_x
+and still contract chunks of kernel blocks.
+
 Tests and the CLI `oracle` command compare the two; nothing in this
 module ever substitutes one for the other.
 
@@ -26,6 +32,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,7 +68,8 @@ _TRACE_TRIM = 1e-12
 _TRIM_TOL = 1e-9
 # at s > 0, values whose rounding bound exceeds this are refused
 _CANCEL_TOL = 1e-10
-# kernel elements per block of points
+# elements per block of kernel rows or, in trace sweeps, of kernel elements;
+# streamed traces stack all their Laguerre rows below it and stream them above
 _BLOCK_CAP = 250_000
 # trace sweeps build their coherent pair as one dim^2 ket (144 MB at this dim)
 _SWEEP_DIM_LIMIT = 3000
@@ -230,6 +238,17 @@ def _coefficients(state: TwoModeState, sv: float, trim: float):
     return coef[:sx, :sy, :sx, :sy], sx, sy, pops
 
 
+@lru_cache(maxsize=128)
+def _recurrence(k: int):
+    """2n + 1 + j, n + j and n + 1 over n < k - 1, j < k: the integers of
+    `_laguerre_rows`' recurrence."""
+    n, j = np.arange(k - 1, dtype=np.int32)[:, None, None], np.arange(k, dtype=np.int32)[:, None]
+    tables = 2 * n + 1 + j, n + j, n + 1
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
 def _laguerre_rows(a2: np.ndarray, sv: float, k: int, y0=1.0):
     """Rows y_n[j, p] = r^n L_n^(j)(4|a_p|^2/(1-s^2)) for n < k, valid for j < k - n.
 
@@ -245,10 +264,10 @@ def _laguerre_rows(a2: np.ndarray, sv: float, k: int, y0=1.0):
     entry is the same either way.  a2 holds |a|^2 per point, y0 scales its rows.
     """
     kappa, r = 2.0 / (1.0 - sv), (sv + 1.0) / (sv - 1.0)
-    n, j = np.arange(k - 1)[:, None, None], np.arange(k)[:, None]
-    rj, d = r * (2 * n + 1 + j), r * r * (n + j) / (n + 1)
+    j1, nj, n1 = _recurrence(k)
+    rj, d = r * j1, r * r * nj / n1
     ka2 = kappa**2 * a2
-    c = (rj + ka2) / (n + 1) if a2.size * k * k <= _BLOCK_CAP else None
+    c = (rj + ka2) / n1 if a2.size * k * k <= _BLOCK_CAP else None
     prev, y = np.zeros((k, a2.size)), np.ones((k, a2.size)) * y0
     for i in range(k - 1):
         yield y
@@ -258,6 +277,14 @@ def _laguerre_rows(a2: np.ndarray, sv: float, k: int, y0=1.0):
             m = k - i - 1
             prev, y = y[:m], (rj[i, :m] + ka2) / (i + 1) * y[:m] - d[i, :m] * prev[:m]
     yield y
+
+
+def _log_radial(rho: np.ndarray, sv: float, k: int) -> np.ndarray:
+    """log u[d, rho] for d < k, u = kappa^(d+1) e^(-kappa rho^2) rho^d / sqrt(d!):
+    the radial factor of the elements <n + d| t |n>, shape (k, radii)."""
+    kappa, d = 2.0 / (1.0 - sv), np.arange(k)[:, None]
+    return ((d + 1) * math.log(kappa) - _log_factorial(d) / 2 - kappa * rho**2
+            + np.where(d == 0, 0.0, d * np.log(rho)))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -328,14 +355,91 @@ def _contract(ys, tx, sv: float, mx=None) -> np.ndarray:
     """Tr[rho (tx (x) ty)] per point, real part, with ys = _y_side(rho, ty, s).
 
     At s > 0 the magnitude contraction, finished against mx (default |tx|),
-    bounds the rounding: a value it cannot hold to 1e-10 raises
-    TruncationError.  The imaginary residue must stay below 1e-9.
+    bounds the rounding (see `_checked`).
     """
     g, ag, ny = ys
-    vals = _x_dot(g, tx)
+    mags = _x_dot(ag, np.abs(tx) if mx is None else mx).real if sv > 0.0 else None
+    return _checked(_x_dot(g, tx), mags, tx.shape[-1] + ny, sv)
+
+
+@lru_cache(maxsize=128)
+def _stream_tables(k: int):
+    """Tables of `_x_stream` over (n, d), n + d < k: the flat positions of
+    g[n, n + d] and g[n + d, n] in a k x k g, their weights
+    sqrt(n! d!/(n + d)!) (0 for n + d >= k, and for the second at d = 0),
+    and the mask n + d >= k."""
+    n, d = np.arange(k)[:, None], np.arange(k)
+    m, beyond = np.minimum(n + d, k - 1), n + d >= k
+    w = np.exp((_log_factorial(n) + _log_factorial(d) - _log_factorial(n + d)) / 2) * ~beyond
+    idx = np.stack((n * k + m, m * k + n)).astype(np.int32)
+    tables = idx, np.stack((w, w * (d > 0))), beyond
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _x_stream(ys, points, sv: float, k: int):
+    """sum_ab g[a, b] <b| t(alpha_p, s) |a> per point for one shared g (s > -1),
+    and at s > 0 the same sum of ag |t| (else None), with ys = _y_side(...).
+
+    No kernel element is formed.  The rows y_n = r^n L_n^(d) run once per
+    distinct radius rho: P[d, rho] and Q[d, rho] sum sqrt(n! d!/(n + d)!)
+    y_n[d, rho] times g[n, n + d] and g[n + d, n] over n, and a point takes
+    sum_d u[d, rho] (e^(i d arg alpha) P + e^(-i d arg alpha) Q), u from
+    `_log_radial` combined with P and Q in logs.  Rows that fit _BLOCK_CAP
+    are stacked and contracted at once, others dotted one by one and
+    dropped.  Non-finite values raise TruncationError.
+    """
+    g, ag, _ = ys
+    idx, wts, beyond = _stream_tables(k)
+    gw = g.reshape(-1)[idx] * wts  # (2, n, d): the two diagonals, weighted
+    c = np.concatenate((gw.real, gw.imag))  # re P, re Q, im P, im Q
+    a = (ag.reshape(-1)[idx] * wts).sum(axis=0) if sv > 0.0 else None
+    rho, inv = np.abs(points), np.zeros(1, int)
+    if rho.size > 1:
+        rho, inv = np.unique(rho, return_inverse=True)
+    rows = _laguerre_rows(rho**2, sv, k)
+    if rho.size * k * k <= _BLOCK_CAP:  # rows come with all k entries
+        y = np.empty((k, k, rho.size))
+        for n, row in enumerate(rows):
+            y[n] = row
+        y[beyond] = 0.0  # entries n + d >= k are never read, and may overflow
+        sums = np.einsum("cnd,ndr->cdr", c, y)
+        asum = None if a is None else np.einsum("nd,ndr->dr", a, np.abs(y))
+    else:
+        sums, asum = np.zeros((4, k, rho.size)), None if a is None else np.zeros((k, rho.size))
+        for n, y in enumerate(rows):
+            sums[:, :len(y)] += c[:, n, :len(y), None] * y
+            if a is not None:
+                asum[:len(y)] += a[n, :len(y), None] * np.abs(y)
+    logu = _log_radial(rho, sv, k)
+    pq = np.exp(logu + np.log(sums[:2] + 1j * sums[2:]))[:, :, inv]
+    ph = np.exp(1j * np.arange(k)[:, None] * np.angle(points))  # e^(i d arg alpha)
+    vals = np.einsum("dp,dp->p", pq[0], ph) + np.einsum("dp,dp->p", pq[1], ph.conj())
+    mags = None if a is None else np.exp(logu + np.log(asum)).sum(axis=0)[inv]
+    if not (np.isfinite(vals).all() and (mags is None or np.isfinite(mags).all())):
+        raise TruncationError("kernel elements at these points are not finite")
+    return vals, mags
+
+
+def _trace_shared(ys, points, sv: float, k: int) -> np.ndarray:
+    """`_contract` of one shared y side against the x points on k levels:
+    streamed at s > -1, the rank-1 amplitudes at s = -1."""
+    if sv == -1.0:
+        return _contract(ys, _kernel_block(points, sv, k), sv)
+    return _checked(*_x_stream(ys, points, sv, k), k + ys[2], sv)
+
+
+def _checked(vals: np.ndarray, mags, size: int, sv: float) -> np.ndarray:
+    """The real parts of trace values, refused where they cannot be trusted.
+
+    At s > 0, mags (the contraction over magnitudes, per point) bounds the
+    rounding by eps * size * max(mags): a value it cannot hold to 1e-10
+    raises TruncationError.  The imaginary residue must stay below 1e-9.
+    """
     if sv > 0.0:
-        size = np.max(_x_dot(ag, np.abs(tx) if mx is None else mx).real)
-        err = np.finfo(float).eps * (tx.shape[-1] + ny) * size
+        err = np.finfo(float).eps * size * np.max(mags)
         if not err <= _CANCEL_TOL:
             raise TruncationError(
                 f"s={sv:g}: the alternating Fock sum cannot be held to {_CANCEL_TOL:g} "
@@ -350,13 +454,19 @@ def _contract(ys, tx, sv: float, mx=None) -> np.ndarray:
 
 
 def _trace_points(state: TwoModeState, axs, ays, sv: float) -> np.ndarray:
-    """Tr[rho T(ax, ay, s)] per point; a single ay is shared by all points."""
+    """Tr[rho T(ax, ay, s)] per point.
+
+    A single ay is shared by all points: the y mode is contracted once and
+    the x mode is streamed (`_trace_shared`), with no (points, k, k) block.
+    Sweeps move ay with ax, so they contract chunks of kernel blocks.
+    """
     coef, sx, sy, _ = _coefficients(state, sv, _TRACE_TRIM)
     axs, ays = (np.asarray(z, dtype=complex).reshape(-1) for z in (axs, ays))
-    shared = _y_side(coef, _kernel_block(ays, sv, sy), sv) if ays.size == 1 else None
+    if ays.size == 1:
+        return _trace_shared(_y_side(coef, _kernel_block(ays, sv, sy), sv), axs, sv, sx)
     out = []
     for idx in _chunks(axs.size, max(sx, sy) ** 2):
-        ys = _y_side(coef, _kernel_block(ays[idx], sv, sy), sv) if shared is None else shared
+        ys = _y_side(coef, _kernel_block(ays[idx], sv, sy), sv)
         out.append(_contract(ys, _kernel_block(axs[idx], sv, sx), sv))
     return np.concatenate(out)
 
@@ -390,7 +500,7 @@ def qpdf_trace_single(rho: np.ndarray, alpha: complex, s) -> float:
     k = _support(np.diagonal(rho).real, sv, _TRACE_TRIM)
     coef = rho[:k, None, :k, None]
     ys = _y_side(coef, np.ones((1, 1, 1)), sv)
-    return float(_contract(ys, _kernel_block([alpha], sv, k), sv)[0])
+    return float(_trace_shared(ys, np.array([complex(alpha)]), sv, k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +619,15 @@ def _kernel_sums(nodes, weights, sv: float, k: int):
     is this one sliced.  For m = n + d >= n the sum is
     sqrt(n! d!/m!) sum_rho u[d, rho] y_n[d, rho] over the distinct radii
     rho = |a| of the nodes: u = kappa^(d+1) e^(-kappa rho^2) rho^d / sqrt(d!),
-    formed in logs, times the radius's sum of (w/pi) e^(i d arg a) (powers of
-    the unit phase), and y_n = r^n L_n^(d) from `_laguerre_rows`: each row is
-    dotted into the sums and dropped, over chunks of _BLOCK_CAP / k radii.
+    formed in logs (`_log_radial`), times the radius's sum of (w/pi)
+    e^(i d arg a) (powers of the unit phase), and y_n = r^n L_n^(d) from
+    `_laguerre_rows`: each row is dotted into the sums and dropped, over
+    chunks of _BLOCK_CAP / k radii.
     Magnitude sums take sum w/pi per radius.  m < n by Hermitian conjugation.
     Non-finite sums, e.g. where r^n L_n overflows, raise TruncationError.
     """
     sums, mags = np.zeros((k, k, 2)), np.zeros((k, k))  # [n, d, re/im], [n, d]
-    kappa, d = 2.0 / (1.0 - sv), np.arange(k)[:, None]
+    kappa = 2.0 / (1.0 - sv)
     rho = np.abs(nodes)
     order = np.argsort(rho, kind="stable")
     rho, w, z = rho[order], weights[order] / math.pi, np.exp(1j * np.angle(nodes[order]))
@@ -530,8 +641,7 @@ def _kernel_sums(nodes, weights, sv: float, k: int):
             wz *= z[lo:hi]
         # at s = -1 the rows grow like e^(kappa rho^2); half of e^(-kappa rho^2) moves in
         h = kappa * r**2 / 2 if sv == -1.0 else 0.0
-        u = np.exp((d + 1) * math.log(kappa) - _log_factorial(d) / 2 - kappa * r**2 + h
-                   + np.where(d == 0, 0.0, d * np.log(r)))
+        u = np.exp(_log_radial(r, sv, k) + h)
         uri = np.stack(((u * ph).real, (u * ph).imag), axis=1)  # (k, 2, radii)
         for n, y in enumerate(_laguerre_rows(r**2, sv, k, np.exp(-h))):
             m = k - n

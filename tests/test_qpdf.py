@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import expectation, transiting
@@ -25,9 +25,17 @@ from polqpdf.qpdf import (
     PlaneQuadrature,
     QpdfGrid,
     _BLOCK_CAP,
+    _TRACE_TRIM,
+    _checked,
+    _coefficients,
+    _contract,
     _kernel_block,
     _kernel_sums,
     _plane_nodes,
+    _trace_points,
+    _x_dot,
+    _x_stream,
+    _y_side,
     normalization_check,
     plane_grid_qpdf,
     poincare_sphere_qpdf,
@@ -378,9 +386,11 @@ def test_zero_padding_leaves_every_value_unchanged():
         for s in (-1.0, -0.5, 0.0, 0.3):
             assert (_outcome(qpdf_trace, small, ax, ay, s)
                     == _outcome(qpdf_trace, padded, ax, ay, s))
-    for s in (-1.0, 0.0):
-        a, b = (plane_grid_qpdf(x, s, 12.0, 5, alpha_y=ay) for x in (small, padded))
-        assert np.array_equal(a.values, b.values)
+    for s in (-1.0, -0.5, 0.0, 0.3):
+        for n in (4, 5):  # the odd grid has a node at the origin, alpha = 0
+            a, b = (_outcome(lambda x: plane_grid_qpdf(x, s, 12.0, n, alpha_y=ay).values, x)
+                    for x in (small, padded))
+            assert a is b if isinstance(a, type) else np.array_equal(a, b)
     # the dim-20 vacuum at alpha_x = 3, once refused as too small a space
     vac = two_mode_coherent_density(0j, 0j, 20)
     want = qpdf_coherent_closed(0j, 0j, 3.0, 0j, 0.0)
@@ -388,6 +398,81 @@ def test_zero_padding_leaves_every_value_unchanged():
     big = np.zeros((60, 60), dtype=complex)
     big[1, 1] = 1.0  # |1><1|, and its dim-20 block
     assert qpdf_trace_single(big[:20, :20], 3.0, 0.0) == qpdf_trace_single(big, 3.0, 0.0)
+
+
+def _assert_stream_matches_blocks(state, axs, ay, s):
+    """Streamed shared-alpha_y traces against `_x_dot` of kernel blocks.
+
+    Both routes must refuse alike.  At s <= 0 each value is held to 1e-13
+    of its terms' magnitude sum; at s > 0 values and magnitude sums to the
+    rounding bound that sum sets, grown by the logs both forms exponentiate.
+    """
+    got = _outcome(_trace_points, state, axs, [ay], s)
+    try:
+        coef, sx, sy, _ = _coefficients(state, s, _TRACE_TRIM)
+        ys = _y_side(coef, _kernel_block([ay], s, sy), s)
+        if s == -1.0:  # rank-1 amplitudes on both routes
+            assert np.array_equal(got, _contract(ys, _kernel_block(axs, s, sx), s))
+            return
+        dots, scale, want_mag = np.zeros(axs.size, complex), np.zeros(axs.size), None
+        if s > 0.0:
+            want_mag = np.zeros(axs.size)
+        for i, z in enumerate(axs):  # one block at a time: k may be large
+            t = _kernel_block([z], s, sx)
+            dots[i], scale[i] = _x_dot(ys[0], t)[0], _x_dot(np.abs(ys[0]), np.abs(t))[0].real
+            if s > 0.0:
+                want_mag[i] = _x_dot(ys[1], np.abs(t))[0].real
+        want = _checked(dots, want_mag, sx + ys[2], s)
+    except (TruncationError, ValidationError) as err:
+        assert got is type(err)
+        return
+    vals, mags = _x_stream(ys, axs, s, sx)
+    if s <= 0.0:
+        bound = 1e-13 * scale
+        assert mags is None
+    else:
+        a = np.abs(axs[axs != 0])
+        logs = np.max(2.0 / (1.0 - s) * a**2 + sx * np.abs(np.log(a)), initial=0.0)
+        bound = (8 * sx + logs) * np.finfo(float).eps * want_mag
+        assert np.all(np.abs(mags - want_mag) <= bound)
+    assert np.all(np.abs(vals - dots) <= bound)
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _small_states(),
+    st.booleans(),
+    st.sampled_from([0, 2]),
+    st.lists(st.builds(cmath.rect, st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)),
+             min_size=1, max_size=4),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.one_of(st.just(-1.0), st.floats(-1.0, 0.6)),
+)
+def test_streamed_traces_match_kernel_blocks(states, dense, pad, points, ay, s):
+    # alpha, i alpha, -alpha and conj(alpha) share a radius, and the origin
+    # is one of its own; with no padding the top level holds weight, which
+    # s > 0 refuses on both routes
+    pairs, k = states
+    state = _embedded(pairs, k + pad)
+    if dense:
+        state = TwoModeState.from_density(state.density, state.dim)
+    axs = np.array([0j] + [z for a in points for z in (a, 1j * a, -a, a.conjugate())])
+    _assert_stream_matches_blocks(state, axs, ay, s)
+
+
+def test_wide_plane_streams_like_the_blocks():
+    # support 282 over the 6 radii of a 5 x 5 plane: the rows are dotted one
+    # by one and dropped.  At half-width 20 the rows r^n L_n overflow, and
+    # both routes refuse
+    state = two_mode_coherent_density(12.0, 12j, 286)
+    for width in (14.0, 20.0):
+        axis = np.linspace(-width, width, 5)
+        pts = (axis[:, None] + 1j * axis[None, :]).reshape(-1)
+        for s in (-0.5, 0.0):
+            _assert_stream_matches_blocks(state, pts, 12j, s)
+    with pytest.raises(TruncationError, match="not finite"):
+        plane_grid_qpdf(state, 0.0, 20.0, 5, alpha_y=12j)
 
 
 def test_trace_single_mode():
@@ -573,6 +658,27 @@ def _kernel_sums_reference(nodes, weights, s, k):
     return np.tensordot(w, t, 1), np.tensordot(w, np.abs(t), 1)
 
 
+def _underflow_allowance(nodes, weights, s, k):
+    """What subnormal intermediates can cost each element of the s > 0 sums.
+
+    A factor formed below 2^-1022 keeps only an absolute precision of
+    2^-1074.  The reference forms whole elements by exp and weights them
+    by w/pi.  The sums form u = e^(-kappa|a|^2) (kappa a)^d / sqrt(d!) by
+    exp, multiply it by a sum of w/pi, and that product, itself possibly
+    subnormal, by the row r^n L_n^(d)(x), |.| <= |r|^n C(n + d, n) e^(x/2),
+    and by sqrt(n! d!/(n + d)!).  Each route rounds at most twice per node
+    at that precision, and a rounding there costs 2^-1074 even where the
+    factor after it is below 1, so 4 x nodes multiples of 2^-1074, times
+    the largest factor or 1, hold both.
+    """
+    p = np.minimum.outer(np.arange(k), np.arange(k))
+    d = np.abs(np.subtract.outer(np.arange(k), np.arange(k)))
+    x = 4.0 * np.max(np.abs(nodes)) ** 2 / (1.0 - s * s)
+    root_comb = np.sqrt(np.vectorize(math.comb)(p + d, p).astype(float))
+    row = abs((s + 1.0) / (s - 1.0)) ** p * root_comb * math.exp(x / 2)
+    return 2.0**-1074 * (4 * len(nodes) * row * max(1.0, np.sum(weights) / math.pi))
+
+
 def _assert_sums_match(nodes, weights, s, k, logs=0.0):
     want, want_mag = _kernel_sums_reference(nodes, weights, s, k)
     got, got_mag = (x[0] for x in _kernel_sums(nodes, weights, s, k))
@@ -581,8 +687,10 @@ def _assert_sums_match(nodes, weights, s, k, logs=0.0):
         assert not got_mag.any()
     else:
         # the alternating sums cancel far below their terms: hold each
-        # element to the rounding bound its magnitude sum sets
-        bound = (8 * k + logs) * np.finfo(float).eps * want_mag
+        # element to the rounding bound its magnitude sum sets, and to what
+        # subnormal intermediates allow where that sum is itself subnormal
+        bound = ((8 * k + logs) * np.finfo(float).eps * want_mag
+                 + _underflow_allowance(nodes, weights, s, k))
         assert np.all(np.abs(got - want) <= bound)
         assert np.all(np.abs(got_mag - want_mag) <= bound)
 
@@ -635,6 +743,7 @@ def _assert_sums_match_anywhere(nodes_weights, s, k):
 
 @settings(max_examples=60, deadline=None)
 @given(_NODES_WEIGHTS, _SUM_ORDERS, st.integers(1, 12))
+@example([(1.8e-100 - 3.2e-101j, 0.7), (1.2e-81 - 2.0e-82j, 0.3)], 0.53, 12)
 def test_kernel_sums_match_per_node_blocks_anywhere(nodes_weights, s, k):
     _assert_sums_match_anywhere(nodes_weights, s, k)
 
@@ -725,15 +834,17 @@ def test_plane_grid_values_match_pointwise():
         z = complex(ax[i], ax[j])
         want = qpdf_trace(state, z, 0.3 + 0.1j, -1.0)
         assert grid.values[i * 12 + j] == pytest.approx(want, abs=1e-12)
-    # a support of 74 levels splits this plane's 64 points into chunks, which
-    # share one contraction of the alpha_y block
+    # the plane's 48 radii hold more than _BLOCK_CAP entries of 74-level rows,
+    # so its rows are dotted one by one and dropped; a single point's rows
+    # are stacked and contracted at once
     state = two_mode_coherent_density(5.0, 5j, 74)
-    assert _BLOCK_CAP // 74**2 < 64
+    ax = np.linspace(-6.0, 6.0, 12)
+    assert np.unique(np.abs(ax[:, None] + 1j * ax)).size * 74**2 > _BLOCK_CAP
     for s in (-0.5, 0.0):
-        grid = plane_grid_qpdf(state, s, 6.0, 8, alpha_y=4.5j)
-        ax = grid.axis_values
-        want = [qpdf_trace(state, complex(x, y), 4.5j, s) for x in ax for y in ax]
-        assert grid.values == pytest.approx(want, abs=1e-12)
+        grid = plane_grid_qpdf(state, s, 6.0, 12, alpha_y=4.5j)
+        picks = range(0, 144, 5)
+        want = [qpdf_trace(state, complex(ax[i // 12], ax[i % 12]), 4.5j, s) for i in picks]
+        assert grid.values[list(picks)] == pytest.approx(want, abs=1e-12)
 
 
 def test_plane_grid_nonnegative_q_function():
